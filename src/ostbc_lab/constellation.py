@@ -118,8 +118,7 @@ def quantize(z: float, alphabet) -> tuple[int, float]:
     (index, value)
     """
     alphabet = np.asarray(alphabet, dtype=float)
-    mids = _midpoints(alphabet)
-    idx = int(np.searchsorted(mids, z, side="left"))
+    idx = int(quantize_indices(z, alphabet))
     return idx, float(alphabet[idx])
 
 

@@ -6,20 +6,25 @@ independent scalar quantizations of the matched-filter output
 
     xhat = Hc^T ycheck / sigma.
 
-Four routes to the same soft vector are implemented:
+``MATCHED_FILTERS`` maps each route to a batched function
+``(code, h[..., 2NM], hc[..., 2MT, 2K], yv[..., 2MT]) -> Hc^T ycheck
+[..., 2K]`` that computes the unscaled vector a different way:
 
-* ``decode_lattice``   -- the real matrix-vector product above,
-* ``decode_trace``     -- complex trace form, shat_k = [Re tr(H^H A_k^H Y)
-  + i Im tr(H^H B_k^H Y)] / (c ||H||^2); the imaginary part enters with a
-  plus sign because the matched filter for Im(s_k) is the B_k direction,
-* ``decode_F``         -- the complex equivalent-channel pair (F_a, F_b)
-  applied to the vectorized receive block z,
-* ``decode_Fprime``    -- its real 2MT x 2K form applied to z'.
+* ``lattice`` -- the real matrix-vector product above (the only route that
+  reads ``hc``; the others may be passed ``None``),
+* ``trace``   -- complex trace form, [Re tr(H^H A_k^H Y), Im tr(H^H B_k^H Y)];
+  the imaginary part enters with a plus sign because the matched filter for
+  Im(s_k) is the B_k direction,
+* ``f``       -- the complex equivalent-channel pair (F_a, F_b) applied to the
+  vectorized receive block z,
+* ``fprime``  -- its real 2MT x 2K form applied to z'.
 
-All four return identical interleaved soft vectors up to rounding, and each
-feeds the same per-component quantizer.  ``exhaustive_ml`` is the brute-force
+All four agree up to rounding, and dividing by sigma and quantizing per
+component gives the decision.  ``exhaustive_indices`` is the brute-force
 reference that minimizes ||ycheck - Hc x||^2 over the full candidate grid
-without using orthogonality.
+without using orthogonality, batched over the same leading axes.
+``decode_lattice``, ``decode_trace``, ``decode_F``, ``decode_Fprime`` and
+``exhaustive_ml`` are their one-trial forms.
 """
 
 from __future__ import annotations
@@ -31,18 +36,16 @@ import numpy as np
 
 from .codes import DispersionCode
 from .constellation import Constellation, quantize_indices
-from .lattice import (
-    ChannelRealization,
-    RealLattice,
-    build_F,
-    interleaving_perm,
-)
+from .lattice import RealLattice, _as_channel, build_F, interleaving_perm, \
+    vectorize_received
 
 __all__ = [
     "SoftEstimate",
     "DecodedMessage",
     "DegenerateChannelError",
     "SearchSpaceError",
+    "MATCHED_FILTERS",
+    "exhaustive_indices",
     "decode_lattice",
     "decode_trace",
     "decode_F",
@@ -52,6 +55,9 @@ __all__ = [
 ]
 
 MAX_SEARCH_SPACE = 2 ** 24
+# (Hc row x candidate) products per exhaustive slice; bounds the search's
+# memory.
+_SLICE = 2 ** 13
 
 
 class DegenerateChannelError(ValueError):
@@ -98,12 +104,65 @@ class DecodedMessage:
     shat: np.ndarray
     indices: np.ndarray
 
+    @classmethod
+    def from_indices(cls, indices: np.ndarray,
+                     constellation: Constellation) -> "DecodedMessage":
+        xhat = constellation.component_alphabet[indices]
+        return cls(xhat=xhat, shat=xhat[0::2] + 1j * xhat[1::2],
+                   indices=indices)
+
+
+def _complex(v: np.ndarray) -> np.ndarray:
+    """Re/Im interleaved (..., 2n) -> complex (..., n)."""
+    return v[..., 0::2] + 1j * v[..., 1::2]
+
+
+def _columns(v: np.ndarray, rows: int) -> np.ndarray:
+    """Interleaved column stack (..., 2 rows M) -> complex matrices (..., rows, M)."""
+    flat = _complex(v)
+    return flat.reshape(flat.shape[:-1] + (-1, rows)).swapaxes(-1, -2)
+
+
+def _lattice(code, h, hc, yv):
+    return np.einsum("...pj,...p->...j", hc, yv)
+
+
+def _trace(code, h, hc, yv):
+    hh = _columns(h, code.n).conj()
+    y = _columns(yv, code.t)
+    z = np.empty(hh.shape[:-2] + (2 * code.k,))
+    z[..., 0::2] = np.einsum("ktl,...lj,...tj->...k", code.a, hh, y).real
+    z[..., 1::2] = np.einsum("ktl,...lj,...tj->...k", code.b, hh, y).imag
+    return z
+
+
+def _f(code, h, hc, yv):
+    fa, fb = build_F(code, _columns(h, code.n))
+    zv = _complex(yv)
+    z = np.empty(zv.shape[:-1] + (2 * code.k,))
+    z[..., 0::2] = np.einsum("...pk,...p->...k", fa.conj(), zv).real
+    z[..., 1::2] = np.einsum("...pk,...p->...k", fb.conj(), zv).real
+    return z
+
+
+def _fprime(code, h, hc, yv):
+    fa, fb = build_F(code, _columns(h, code.n))
+    fc = np.concatenate([fa, fb], axis=-1)
+    fprime = np.concatenate([fc.real, fc.imag], axis=-2)
+    zv = _complex(yv)
+    zprime = np.concatenate([zv.real, zv.imag], axis=-1)
+    # F'^T z' comes out grouped (Re s_1..s_K; Im s_1..s_K); interleave it.
+    grouped = np.einsum("...pj,...p->...j", fprime, zprime)
+    return grouped[..., interleaving_perm(code.k)]
+
+
+MATCHED_FILTERS = {"lattice": _lattice, "trace": _trace, "f": _f,
+                   "fprime": _fprime}
+
 
 def _decide(z: np.ndarray, constellation: Constellation) -> DecodedMessage:
     idx = quantize_indices(z, constellation.component_alphabet)
-    xhat = constellation.component_alphabet[idx]
-    return DecodedMessage(xhat=xhat, shat=xhat[0::2] + 1j * xhat[1::2],
-                          indices=idx)
+    return DecodedMessage.from_indices(idx, constellation)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -116,66 +175,43 @@ def decode_lattice(lat: RealLattice, ycheck,
     """ML decode from the real lattice: xhat = Hc^T ycheck / sigma."""
     _check_sigma(lat.sigma)
     ycheck = np.asarray(ycheck, dtype=float)
-    z = lat.hcheck.T @ ycheck / lat.sigma
-    soft = SoftEstimate(z=z)
-    return soft, _decide(z, constellation)
+    z = _lattice(None, None, lat.hcheck, ycheck) / lat.sigma
+    return SoftEstimate(z=z), _decide(z, constellation)
+
+
+def _decode_route(name: str, code: DispersionCode, channel, yv: np.ndarray,
+                  constellation: Constellation):
+    """One-trial decode through a complex route; yv is the interleaved
+    received vector."""
+    ch = _as_channel(code, channel)
+    sigma = code.c * float(np.sum(ch.h * ch.h))
+    _check_sigma(sigma)
+    z = MATCHED_FILTERS[name](code, ch.h, None, yv) / sigma
+    return SoftEstimate(z=z), _decide(z, constellation)
 
 
 def decode_trace(code: DispersionCode, channel, Y,
-                 constellation: Constellation,
-                 c: int | None = None) -> tuple[SoftEstimate, DecodedMessage]:
+                 constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
     """ML decode via complex traces of the matched dispersion directions."""
-    ch = ChannelRealization.from_matrix(channel) \
-        if not isinstance(channel, ChannelRealization) else channel
-    c = code.c if c is None else c
-    sigma = c * float(np.sum(ch.h * ch.h))
-    _check_sigma(sigma)
-    Y = np.asarray(Y, dtype=complex)
-    Hh = ch.matrix.conj().T
-    z = np.empty(2 * code.k)
-    for k in range(code.k):
-        z[2 * k] = np.trace(Hh @ code.a[k].conj().T @ Y).real / sigma
-        z[2 * k + 1] = np.trace(Hh @ code.b[k].conj().T @ Y).imag / sigma
-    soft = SoftEstimate(z=z)
-    return soft, _decide(z, constellation)
+    return _decode_route("trace", code, channel, vectorize_received(Y),
+                         constellation)
 
 
 def decode_F(code: DispersionCode, channel, z_vec,
-             constellation: Constellation,
-             c: int | None = None) -> tuple[SoftEstimate, DecodedMessage]:
+             constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
     """ML decode from the complex equivalent channel applied to z = vec(Y)."""
-    ch = ChannelRealization.from_matrix(channel) \
-        if not isinstance(channel, ChannelRealization) else channel
-    c = code.c if c is None else c
-    sigma = c * float(np.sum(ch.h * ch.h))
-    _check_sigma(sigma)
-    z_vec = np.asarray(z_vec, dtype=complex).ravel()
-    fa, fb = build_F(code, ch)
-    z = np.empty(2 * code.k)
-    z[0::2] = (fa.conj().T @ z_vec).real / sigma
-    z[1::2] = (fb.conj().T @ z_vec).real / sigma
-    soft = SoftEstimate(z=z)
-    return soft, _decide(z, constellation)
+    return _decode_route("f", code, channel, vectorize_received(z_vec),
+                         constellation)
 
 
 def decode_Fprime(code: DispersionCode, channel, zprime,
-                  constellation: Constellation,
-                  c: int | None = None) -> tuple[SoftEstimate, DecodedMessage]:
+                  constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
     """ML decode from the real 2MT x 2K equivalent channel applied to z'."""
-    ch = ChannelRealization.from_matrix(channel) \
-        if not isinstance(channel, ChannelRealization) else channel
-    c = code.c if c is None else c
-    sigma = c * float(np.sum(ch.h * ch.h))
-    _check_sigma(sigma)
     zprime = np.asarray(zprime, dtype=float).ravel()
-    fa, fb = build_F(code, ch)
-    fc = np.hstack([fa, fb])
-    fprime = np.vstack([fc.real, fc.imag])
-    # F'^T z' comes out grouped (Re s_1..s_K; Im s_1..s_K); interleave it.
-    grouped = fprime.T @ zprime / sigma
-    z = grouped[interleaving_perm(code.k)]
-    soft = SoftEstimate(z=z)
-    return soft, _decide(z, constellation)
+    half = zprime.size // 2
+    return _decode_route("fprime", code, channel,
+                         vectorize_received(zprime[:half] + 1j * zprime[half:]),
+                         constellation)
 
 
 @lru_cache(maxsize=32)
@@ -196,32 +232,47 @@ def _candidate_grid(alphabet: tuple[float, ...], dims: int) -> np.ndarray:
     return grid
 
 
-def exhaustive_ml(lat: RealLattice, ycheck,
-                  constellation: Constellation) -> tuple[DecodedMessage, float]:
+def exhaustive_indices(hc: np.ndarray, yv: np.ndarray,
+                       constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force ML: argmin_x ||ycheck - Hc x||^2 over the full grid.
 
-    No orthogonality shortcut is taken; this is the reference the fast
-    decoders are checked against.  Ties resolve to the lexicographically
-    first candidate (component indices enumerated most-significant-first).
+    hc is (..., 2MT, 2K) and yv (..., 2MT).  No orthogonality shortcut is
+    taken; this is the reference the matched filters are checked against.
+    Ties resolve to the lexicographically first candidate (component indices
+    enumerated most-significant-first).
 
     Returns
     -------
-    (decision, metric)
-        metric is ||Hc x||^2 - 2 ycheck^T Hc x for the winner, i.e. the
-        squared distance up to the candidate-independent ||ycheck||^2.
+    (indices, metric)
+        indices (..., 2K) of the winners, and metric (...) their
+        ||Hc x||^2 - 2 ycheck^T Hc x, i.e. the squared distance up to the
+        candidate-independent ||ycheck||^2.
     """
-    dims = lat.hcheck.shape[1]
+    rows, dims = hc.shape[-2:]
     levels = constellation.levels
     if levels ** dims > MAX_SEARCH_SPACE:
         raise SearchSpaceError(
             f"{levels}**{dims} candidates exceed {MAX_SEARCH_SPACE}")
-    ycheck = np.asarray(ycheck, dtype=float)
     grid = _candidate_grid(tuple(constellation.component_alphabet), dims)
-    hx = lat.hcheck @ grid
-    metric = np.sum(hx * hx, axis=0) - 2.0 * (ycheck @ hx)
-    best = int(np.argmin(metric))
-    idx = np.array(np.unravel_index(best, (levels,) * dims))
-    xhat = constellation.component_alphabet[idx]
-    decision = DecodedMessage(xhat=xhat, shat=xhat[0::2] + 1j * xhat[1::2],
-                              indices=idx)
-    return decision, float(metric[best])
+    lead = hc.shape[:-2]
+    hc = hc.reshape(-1, rows, dims)
+    yv = np.asarray(yv, dtype=float).reshape(-1, rows)
+    best = np.empty(len(hc), dtype=np.intp)
+    metric = np.empty(len(hc))
+    step = max(1, _SLICE // (rows * grid.shape[1]))
+    for s in range(0, len(hc), step):
+        hx = hc[s:s + step] @ grid
+        met = np.sum(hx * hx, axis=1) \
+            - 2.0 * np.einsum("bp,bpc->bc", yv[s:s + step], hx)
+        best[s:s + step] = np.argmin(met, axis=1)
+        metric[s:s + step] = np.take_along_axis(
+            met, best[s:s + step, None], axis=1)[:, 0]
+    idx = np.stack(np.unravel_index(best, (levels,) * dims), axis=-1)
+    return idx.reshape(lead + (dims,)), metric.reshape(lead)
+
+
+def exhaustive_ml(lat: RealLattice, ycheck,
+                  constellation: Constellation) -> tuple[DecodedMessage, float]:
+    """One-trial ``exhaustive_indices``: (decision, metric of the winner)."""
+    idx, metric = exhaustive_indices(lat.hcheck, ycheck, constellation)
+    return DecodedMessage.from_indices(idx, constellation), float(metric)

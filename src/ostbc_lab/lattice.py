@@ -174,11 +174,12 @@ def _scatter_arrays(sym: SymbolicLattice):
     return out
 
 
-def linform_value(form: LinForm, h: np.ndarray) -> float:
-    """Evaluate one entry at a coefficient vector (terms in stored order)."""
-    acc = 0.0
+def linform_value(form: LinForm, h: np.ndarray) -> np.ndarray:
+    """Evaluate one entry at coefficient vectors h (..., 2NM), terms in
+    stored order."""
+    acc = np.zeros(h.shape[:-1])
     for idx, tag in form:
-        acc += _TAG_VALUES[tag] * h[idx]
+        acc = acc + _TAG_VALUES[tag] * h[..., idx]
     return acc
 
 
@@ -227,10 +228,7 @@ def build_symbolic_lattice(code: DispersionCode, m: int) -> SymbolicLattice:
 
 def evaluate_lattice(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     """Numeric H_check at one coefficient vector, shape (2MT, 2K)."""
-    pos, hidx, coef = sym.scatter()
-    flat = np.zeros(sym.rows * sym.cols)
-    np.add.at(flat, pos, coef * h[hidx])
-    return flat.reshape(sym.rows, sym.cols)
+    return evaluate_lattice_batch(sym, h[None, :])[0]
 
 
 def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
@@ -294,13 +292,17 @@ def build_F(code: DispersionCode, channel) -> tuple[np.ndarray, np.ndarray]:
     """Complex mixing matrices: F_a[:, k] = vec(A_k H), F_b[:, k] = 1j vec(B_k H).
 
     vec() stacks columns, so row p corresponds to time slot p mod T at
-    receive antenna p div T.  Both matrices have shape (MT, K).
+    receive antenna p div T.  Both matrices have shape (MT, K); a complex
+    channel array (..., N, M) gives a stack of them, (..., MT, K).
     """
-    ch = _as_channel(code, channel)
-    fa = np.stack([(code.a[k] @ ch.matrix).ravel(order="F")
-                   for k in range(code.k)], axis=1)
-    fb = np.stack([1j * (code.b[k] @ ch.matrix).ravel(order="F")
-                   for k in range(code.k)], axis=1)
+    hm = channel.matrix if isinstance(channel, ChannelRealization) \
+        else np.asarray(channel, dtype=complex)
+    if hm.ndim < 2 or hm.shape[-2] != code.n:
+        raise ValueError(f"channel must be (..., {code.n}, M) for code "
+                         f"{code.id!r}, got {hm.shape}")
+    shape = hm.shape[:-2] + (-1, code.k)
+    fa = np.einsum("ktl,...lj->...jtk", code.a, hm).reshape(shape)
+    fb = 1j * np.einsum("ktl,...lj->...jtk", code.b, hm).reshape(shape)
     return fa, fb
 
 

@@ -32,8 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codes import DispersionCode, RSQRT2, _TAG_VALUES
-from .lattice import LinForm, SymbolicLattice, build_symbolic_lattice
+from .codes import DispersionCode, RSQRT2
+from .lattice import LinForm, SymbolicLattice, build_symbolic_lattice, \
+    linform_value
 
 __all__ = [
     "Op",
@@ -310,13 +311,6 @@ def count_ops(sched: Schedule) -> OpCount:
     return OpCount(rm, ra)
 
 
-def _linform_values(form: LinForm, h: np.ndarray) -> np.ndarray:
-    acc = np.zeros(h.shape[:-1])
-    for idx, tag in form:
-        acc = acc + _TAG_VALUES[tag] * h[..., idx]
-    return acc
-
-
 def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
     """Run the program on channel coefficients h and received ycheck.
 
@@ -338,7 +332,7 @@ def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
         elif slot.kind == "const":
             vals[sid] = slot.value
         elif slot.kind == "entry":
-            vals[sid] = _linform_values(slot.recipe, h)
+            vals[sid] = linform_value(slot.recipe, h)
     for op in sched.ops:
         a = vals[op.args[0]]
         if a is None:

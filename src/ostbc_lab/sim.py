@@ -10,11 +10,11 @@ noise-free model (the noise draw still happens, keeping streams aligned).
 Determinism: every trial owns a Philox substream keyed by
 (seed, point_index << 32 | trial_index) with a fixed draw order (channel,
 symbol indices, noise), so results are independent of chunking, worker
-count, and trial interleaving.  ``run_trial`` is the one-trial view of the
-same arithmetic the batched sweep uses.
+count, and trial interleaving.  ``run_trial`` is a batch of one through the
+same function the sweep runs on each chunk.
 
 Error counting uses the first selected decoder; any further selected
-decoders are run per trial and compared, with disagreements counted
+decoders are run in the same batch and compared, with disagreements counted
 (an agreement below 100% is a bug surface, not a statistic).  JSON output
 may contain the non-standard Infinity token when snr = inf is simulated.
 """
@@ -34,19 +34,13 @@ import numpy as np
 from .codes import RSQRT2, get_code
 from .constellation import get_constellation, quantize_indices
 from .decoders import (
+    MATCHED_FILTERS,
     DecodedMessage,
-    decode_F,
-    decode_Fprime,
-    decode_lattice,
-    decode_trace,
-    exhaustive_ml,
+    exhaustive_indices,
 )
 from .lattice import (
     ChannelRealization,
-    RealLattice,
     build_symbolic_lattice,
-    complex_stack,
-    deinterleave,
     evaluate_lattice_batch,
 )
 
@@ -67,8 +61,21 @@ __all__ = [
 
 SCHEMA = "ostbc-lab/1"
 DECODER_NAMES = ("lattice", "trace", "f", "fprime", "exhaustive")
-_RSQRT2 = RSQRT2
-_CHUNK = 8192
+# Trials decoded together; bounds the per-chunk arrays of every decoder set.
+_CHUNK = 128
+
+
+def _decoder_names(decoders) -> tuple[str, ...]:
+    """One decoder name or several, with "all" selecting every route."""
+    if isinstance(decoders, str):
+        decoders = (decoders,)
+    if "all" in decoders:
+        return DECODER_NAMES
+    bad = [d for d in decoders if d not in DECODER_NAMES]
+    if bad:
+        raise ValueError(f"unknown decoders {bad}; pick from "
+                         f"{DECODER_NAMES + ('all',)}")
+    return tuple(decoders)
 
 
 @dataclass(frozen=True)
@@ -86,24 +93,18 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
-        decs = self.decoders
-        if isinstance(decs, str):
-            decs = (decs,)
-        if "all" in decs:
-            decs = DECODER_NAMES
-        object.__setattr__(self, "decoders", tuple(decs))
+        object.__setattr__(self, "decoders", _decoder_names(self.decoders))
         if not self.snr_db:
             raise ValueError("snr_db must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if any(math.isnan(s) or s == -math.inf for s in self.snr_db):
+            raise ValueError("snr_db values must be finite or +inf")
+        # the substream key is (point << 32) | trial
+        if not 1 <= self.trials < 2 ** 32:
+            raise ValueError("trials must be in [1, 2**32)")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        bad = [d for d in self.decoders if d not in DECODER_NAMES]
-        if bad:
-            raise ValueError(f"unknown decoders {bad}; pick from "
-                             f"{DECODER_NAMES + ('all',)}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class BerResult:
 
 def sample_channel(n: int, m: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw H with i.i.d. CN(0,1) entries (Re, Im each Normal(0, 1/2))."""
-    h = rng.standard_normal(2 * n * m) * _RSQRT2
+    h = rng.standard_normal(2 * n * m) * RSQRT2
     return ChannelRealization.from_h(h, n, m)
 
 
@@ -164,10 +165,10 @@ def _draw_trial(rng, n, m, t, k, size, scale):
     Returns (h, symbol indices, real noise vector, redraws).  An all-zero
     channel draw (never seen in practice) is redrawn within the substream.
     """
-    h = rng.standard_normal(2 * n * m) * _RSQRT2
+    h = rng.standard_normal(2 * n * m) * RSQRT2
     redraws = 0
     while not h.any():
-        h = rng.standard_normal(2 * n * m) * _RSQRT2
+        h = rng.standard_normal(2 * n * m) * RSQRT2
         redraws += 1
     sym = rng.integers(0, size, k)
     noise = rng.standard_normal(2 * m * t) * scale
@@ -183,69 +184,58 @@ def _component_indices(sym_idx: np.ndarray, levels: int) -> np.ndarray:
     return out
 
 
-def _lattice_soft(hc, yv, sigma):
-    """Batched matched filter z = Hc^T ycheck / sigma; hc is (B, 2MT, 2K)."""
-    ybar = np.einsum("bpj,bp->bj", hc, yv)
-    return ybar / sigma[:, None]
+def _run_batch(code, const, m, scale, rngs, decoders):
+    """Draw, transmit and decode one trial per substream in `rngs`.
+
+    Returns (sent component indices (B, 2K), decoded indices (B, 2K) per
+    decoder name, per-trial agreement of every decoder with the first (B,),
+    redraws).
+    """
+    b = len(rngs)
+    h = np.empty((b, 2 * code.n * m))
+    sent = np.empty((b, code.k), dtype=np.intp)
+    noise = np.empty((b, 2 * m * code.t))
+    redraws = 0
+    for i, rng in enumerate(rngs):
+        h[i], sent[i], noise[i], r = _draw_trial(
+            rng, code.n, m, code.t, code.k, const.size, scale)
+        redraws += r
+    comp = _component_indices(sent, const.levels)
+    x = const.component_alphabet[comp]
+    hc = evaluate_lattice_batch(build_symbolic_lattice(code, m), h)
+    sigma = code.c * np.sum(h * h, axis=1)
+    yv = np.einsum("bpj,bj->bp", hc, x) + noise
+    decoded = {}
+    for name in decoders:
+        if name == "exhaustive":
+            decoded[name] = exhaustive_indices(hc, yv, const)[0]
+        else:
+            z = MATCHED_FILTERS[name](code, h, hc, yv) / sigma[:, None]
+            decoded[name] = quantize_indices(z, const.component_alphabet)
+    first = decoded[decoders[0]]
+    agree = np.all([np.all(d == first, axis=1) for d in decoded.values()],
+                   axis=0)
+    return comp, decoded, agree, redraws
 
 
 def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
               decoders=("lattice",), m: int = 1) -> TrialResult:
     """One end-to-end trial on a caller-provided substream.
 
-    code and constellation may be ids or resolved objects.  The lattice
-    route shares its arithmetic with the batched sweep (a B=1 batch), so a
-    sweep decomposes exactly into these trials.
+    code and constellation may be ids or resolved objects.  This is a batch
+    of one through the function the sweep runs on each chunk, so a sweep
+    decomposes exactly into these trials.
     """
     code = get_code(code) if isinstance(code, str) else code
     const = get_constellation(constellation) \
         if isinstance(constellation, str) else constellation
-    if isinstance(decoders, str):
-        decoders = (decoders,)
-    if "all" in decoders:
-        decoders = DECODER_NAMES
-    sym = build_symbolic_lattice(code, m)
-    h, sym_idx, noise, redraws = _draw_trial(
-        rng, code.n, m, code.t, code.k, const.size, _noise_scale(snr_db))
-    comp = _component_indices(sym_idx, const.levels)
-    x = const.component_alphabet[comp]
-    hc = evaluate_lattice_batch(sym, h[None, :])
-    sigma = code.c * np.sum(h * h)
-    yv = np.einsum("bpj,bj->bp", hc, x[None, :])[0] + noise
-
-    decoded: dict[str, DecodedMessage] = {}
-    for name in decoders:
-        if name == "lattice":
-            z = _lattice_soft(hc, yv[None, :], np.array([sigma]))[0]
-            idx = quantize_indices(z, const.component_alphabet)
-            xq = const.component_alphabet[idx]
-            decoded[name] = DecodedMessage(xhat=xq, shat=xq[0::2] + 1j * xq[1::2],
-                                           indices=idx)
-            continue
-        ch = ChannelRealization.from_h(h, code.n, m)
-        if name in ("trace", "f", "fprime"):
-            y_block = deinterleave(yv).reshape(code.t, m, order="F")
-            if name == "trace":
-                decoded[name] = decode_trace(code, ch, y_block, const)[1]
-            elif name == "f":
-                decoded[name] = decode_F(code, ch, complex_stack(y_block).z,
-                                         const)[1]
-            else:
-                decoded[name] = decode_Fprime(code, ch,
-                                              complex_stack(y_block).zprime,
-                                              const)[1]
-        elif name == "exhaustive":
-            hm = hc[0].copy()
-            hm.setflags(write=False)
-            lat = RealLattice(code_id=code.id, m=m, hcheck=hm,
-                              sigma=sigma, c=code.c)
-            decoded[name] = exhaustive_ml(lat, yv, const)[0]
-        else:
-            raise ValueError(f"unknown decoder {name!r}")
-    first = decoded[decoders[0]].indices
-    agreement = all(np.array_equal(first, d.indices) for d in decoded.values())
-    return TrialResult(sent=comp, decoded=decoded, agreement=agreement,
-                       redraws=redraws)
+    comp, decoded, agree, redraws = _run_batch(
+        code, const, m, _noise_scale(snr_db), [rng], _decoder_names(decoders))
+    return TrialResult(
+        sent=comp[0],
+        decoded={name: DecodedMessage.from_indices(idx[0], const)
+                 for name, idx in decoded.items()},
+        agreement=bool(agree[0]), redraws=redraws)
 
 
 def _count_errors(sent_comp, dec_comp, gray):
@@ -258,62 +248,22 @@ def _count_errors(sent_comp, dec_comp, gray):
     return sym_err, int(np.sum(bits))
 
 
-def _point_batched(config: SimConfig, point: int) -> PointResult:
-    """Vectorized lattice-only sweep of one SNR point."""
+def _simulate_point(config: SimConfig, point: int) -> PointResult:
+    """Sweep one SNR point chunk by chunk, running every selected decoder."""
     code = get_code(config.code)
     const = get_constellation(config.constellation)
-    sym = build_symbolic_lattice(code, config.m)
     scale = _noise_scale(config.snr_db[point])
-    n2h, n2y = 2 * code.n * config.m, 2 * config.m * code.t
-    gray = const.gray
-    sym_errors = bit_errors = redraws = 0
-    for start in range(0, config.trials, _CHUNK):
-        b = min(_CHUNK, config.trials - start)
-        h = np.empty((b, n2h))
-        sent = np.empty((b, code.k), dtype=np.intp)
-        noise = np.empty((b, n2y))
-        for i in range(b):
-            rng = _trial_rng(config.seed, point, start + i)
-            h[i], sent[i], noise[i], r = _draw_trial(
-                rng, code.n, config.m, code.t, code.k, const.size, scale)
-            redraws += r
-        comp = _component_indices(sent, const.levels)
-        x = const.component_alphabet[comp]
-        hc = evaluate_lattice_batch(sym, h)
-        sigma = code.c * np.sum(h * h, axis=1)
-        yv = np.einsum("bpj,bj->bp", hc, x) + noise
-        z = _lattice_soft(hc, yv, sigma)
-        dec = quantize_indices(z, const.component_alphabet)
-        se, be = _count_errors(comp, dec, gray)
-        sym_errors += se
-        bit_errors += be
-    return _finish_point(config, point, const, sym_errors, bit_errors,
-                         redraws, 0)
-
-
-def _point_looped(config: SimConfig, point: int) -> PointResult:
-    """Per-trial sweep running every selected decoder."""
-    code = get_code(config.code)
-    const = get_constellation(config.constellation)
-    gray = const.gray
     sym_errors = bit_errors = redraws = disagreements = 0
-    for t in range(config.trials):
-        rng = _trial_rng(config.seed, point, t)
-        tr = run_trial(code, const, config.snr_db[point], rng,
-                       config.decoders, config.m)
-        redraws += tr.redraws
-        disagreements += not tr.agreement
-        primary = tr.decoded[config.decoders[0]]
-        se, be = _count_errors(tr.sent, primary.indices, gray)
+    for start in range(0, config.trials, _CHUNK):
+        rngs = [_trial_rng(config.seed, point, t)
+                for t in range(start, min(start + _CHUNK, config.trials))]
+        comp, decoded, agree, r = _run_batch(code, const, config.m, scale,
+                                             rngs, config.decoders)
+        se, be = _count_errors(comp, decoded[config.decoders[0]], const.gray)
         sym_errors += se
         bit_errors += be
-    return _finish_point(config, point, const, sym_errors, bit_errors,
-                         redraws, disagreements)
-
-
-def _finish_point(config, point, const, sym_errors, bit_errors, redraws,
-                  disagreements) -> PointResult:
-    code = get_code(config.code)
+        redraws += r
+        disagreements += int(np.sum(~agree))
     n_sym = config.trials * code.k
     n_bit = n_sym * const.bits_per_symbol
     if sym_errors > n_sym:
@@ -322,12 +272,6 @@ def _finish_point(config, point, const, sym_errors, bit_errors, redraws,
                        sym_errors=sym_errors, bit_errors=bit_errors,
                        ser=sym_errors / n_sym, ber=bit_errors / n_bit,
                        redraws=redraws, disagreements=disagreements)
-
-
-def _simulate_point(config: SimConfig, point: int) -> PointResult:
-    if config.decoders == ("lattice",):
-        return _point_batched(config, point)
-    return _point_looped(config, point)
 
 
 def resolve_workers() -> int:

@@ -139,6 +139,15 @@ def test_simulate_bad_snr_list(capsys, tmp_path):
     assert "bad --snr" in err
 
 
+@pytest.mark.parametrize("snr", ["nan", "0,-inf"])
+def test_simulate_rejects_undefined_snr(capsys, tmp_path, snr):
+    rc, _, err = run(capsys, "simulate", "--code", "g2", "--mod", "4qam",
+                     "--snr", snr, "--out", str(tmp_path / "x"))
+    assert rc == 2
+    assert "snr_db" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -7,6 +7,7 @@ import pytest
 from ostbc_lab.codes import get_code
 from ostbc_lab.constellation import get_constellation
 from ostbc_lab.sim import (
+    _CHUNK,
     DECODER_NAMES,
     SCHEMA,
     SimConfig,
@@ -81,6 +82,9 @@ def test_config_normalization():
     {"seed": 2 ** 64},
     {"m": 0},
     {"decoders": ("lattice", "viterbi")},
+    {"snr_db": (math.nan,)},
+    {"snr_db": (0.0, -math.inf)},
+    {"trials": 2 ** 32},
 ])
 def test_config_rejects(kw):
     base = dict(code="g2", constellation="4qam", snr_db=(0.0,),
@@ -115,17 +119,21 @@ def test_run_ber_deterministic(monkeypatch):
     assert ber_to_csv(a) == ber_to_csv(b)
 
 
-def test_sweep_decomposes_into_trials(monkeypatch):
-    # the batched path must give exactly the error totals of per-trial
-    # decoding on the documented substreams
+@pytest.mark.parametrize("decoders", [("lattice",), ("all",)],
+                         ids=["lattice", "all"])
+def test_sweep_decomposes_into_trials(monkeypatch, decoders):
+    # the chunked sweep must give exactly the error totals of per-trial
+    # decoding on the documented substreams, across chunk boundaries
     monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
     cfg = SimConfig(code="g2", constellation="4qam", snr_db=(0.0,),
-                    trials=300, seed=2024)
+                    trials=300, seed=2024, decoders=decoders)
+    assert cfg.trials > 2 * _CHUNK
     point = run_ber(cfg).points[0]
     code, const = get_code("g2"), get_constellation("4qam")
     sym = bits = 0
     for t in range(cfg.trials):
-        tr = run_trial(code, const, 0.0, substream(cfg.seed, 0, t))
+        tr = run_trial(code, const, 0.0, substream(cfg.seed, 0, t), decoders)
+        assert tr.agreement
         sent, got = tr.sent, tr.decoded["lattice"].indices
         re_bad = sent[0::2] != got[0::2]
         im_bad = sent[1::2] != got[1::2]
@@ -134,6 +142,7 @@ def test_sweep_decomposes_into_trials(monkeypatch):
         bits += int(np.sum(np.bitwise_count(g[sent] ^ g[got])))
     assert point.sym_errors == sym
     assert point.bit_errors == bits
+    assert point.disagreements == 0
     assert point.sym_errors > 0  # 0 dB actually exercises the counter
 
 
