@@ -36,8 +36,8 @@ import numpy as np
 
 from .codes import DispersionCode
 from .constellation import Constellation, quantize_indices
-from .lattice import RealLattice, _as_channel, build_F, interleaving_perm, \
-    vectorize_received
+from .lattice import RealLattice, _as_channel, build_F, channel_sigma, \
+    deinterleave, interleave, unvectorize, vectorize_received
 
 __all__ = [
     "SoftEstimate",
@@ -83,7 +83,7 @@ class SoftEstimate:
     @property
     def symbols(self) -> np.ndarray:
         """Complex view, shape (K,)."""
-        return self.z[0::2] + 1j * self.z[1::2]
+        return deinterleave(self.z)
 
 
 @dataclass(frozen=True)
@@ -108,19 +108,7 @@ class DecodedMessage:
     def from_indices(cls, indices: np.ndarray,
                      constellation: Constellation) -> "DecodedMessage":
         xhat = constellation.component_alphabet[indices]
-        return cls(xhat=xhat, shat=xhat[0::2] + 1j * xhat[1::2],
-                   indices=indices)
-
-
-def _complex(v: np.ndarray) -> np.ndarray:
-    """Re/Im interleaved (..., 2n) -> complex (..., n)."""
-    return v[..., 0::2] + 1j * v[..., 1::2]
-
-
-def _columns(v: np.ndarray, rows: int) -> np.ndarray:
-    """Interleaved column stack (..., 2 rows M) -> complex matrices (..., rows, M)."""
-    flat = _complex(v)
-    return flat.reshape(flat.shape[:-1] + (-1, rows)).swapaxes(-1, -2)
+        return cls(xhat=xhat, shat=deinterleave(xhat), indices=indices)
 
 
 def _lattice(code, h, hc, yv):
@@ -128,32 +116,28 @@ def _lattice(code, h, hc, yv):
 
 
 def _trace(code, h, hc, yv):
-    hh = _columns(h, code.n).conj()
-    y = _columns(yv, code.t)
-    z = np.empty(hh.shape[:-2] + (2 * code.k,))
-    z[..., 0::2] = np.einsum("ktl,...lj,...tj->...k", code.a, hh, y).real
-    z[..., 1::2] = np.einsum("ktl,...lj,...tj->...k", code.b, hh, y).imag
-    return z
+    hh = unvectorize(h, code.n).conj()
+    y = unvectorize(yv, code.t)
+    return interleave(np.einsum("ktl,...lj,...tj->...k", code.a, hh, y).real,
+                      np.einsum("ktl,...lj,...tj->...k", code.b, hh, y).imag)
 
 
 def _f(code, h, hc, yv):
-    fa, fb = build_F(code, _columns(h, code.n))
-    zv = _complex(yv)
-    z = np.empty(zv.shape[:-1] + (2 * code.k,))
-    z[..., 0::2] = np.einsum("...pk,...p->...k", fa.conj(), zv).real
-    z[..., 1::2] = np.einsum("...pk,...p->...k", fb.conj(), zv).real
-    return z
+    fa, fb = build_F(code, unvectorize(h, code.n))
+    zv = deinterleave(yv)
+    return interleave(np.einsum("...pk,...p->...k", fa.conj(), zv).real,
+                      np.einsum("...pk,...p->...k", fb.conj(), zv).real)
 
 
 def _fprime(code, h, hc, yv):
-    fa, fb = build_F(code, _columns(h, code.n))
+    fa, fb = build_F(code, unvectorize(h, code.n))
     fc = np.concatenate([fa, fb], axis=-1)
     fprime = np.concatenate([fc.real, fc.imag], axis=-2)
-    zv = _complex(yv)
+    zv = deinterleave(yv)
     zprime = np.concatenate([zv.real, zv.imag], axis=-1)
     # F'^T z' comes out grouped (Re s_1..s_K; Im s_1..s_K); interleave it.
     grouped = np.einsum("...pj,...p->...j", fprime, zprime)
-    return grouped[..., interleaving_perm(code.k)]
+    return interleave(grouped[..., :code.k], grouped[..., code.k:])
 
 
 MATCHED_FILTERS = {"lattice": _lattice, "trace": _trace, "f": _f,
@@ -184,7 +168,7 @@ def _decode_route(name: str, code: DispersionCode, channel, yv: np.ndarray,
     """One-trial decode through a complex route; yv is the interleaved
     received vector."""
     ch = _as_channel(code, channel)
-    sigma = code.c * float(np.sum(ch.h * ch.h))
+    sigma = float(channel_sigma(code, ch.h))
     _check_sigma(sigma)
     z = MATCHED_FILTERS[name](code, ch.h, None, yv) / sigma
     return SoftEstimate(z=z), _decide(z, constellation)
@@ -210,7 +194,7 @@ def decode_Fprime(code: DispersionCode, channel, zprime,
     zprime = np.asarray(zprime, dtype=float).ravel()
     half = zprime.size // 2
     return _decode_route("fprime", code, channel,
-                         vectorize_received(zprime[:half] + 1j * zprime[half:]),
+                         interleave(zprime[:half], zprime[half:]),
                          constellation)
 
 

@@ -21,6 +21,10 @@ construction here is carried out symbolically: every H_check entry is kept as
 an exact integer-tagged linear form over the flattened channel coefficients,
 so the matrix doubles as input to the operation scheduler and evaluates
 deterministically.
+
+This module alone owns that layout and sigma: ``interleave`` / ``deinterleave``
+(Re/Im pairs), ``vectorize_received`` / ``unvectorize`` (column stacking) and
+``channel_sigma``; every other module calls these instead of slicing.
 """
 
 from __future__ import annotations
@@ -45,8 +49,11 @@ __all__ = [
     "build_symbolic_lattice",
     "build_F",
     "build_check_H",
+    "channel_sigma",
     "vectorize_received",
+    "unvectorize",
     "complex_stack",
+    "interleave",
     "deinterleave",
     "verify_lattice",
     "evaluate_lattice",
@@ -72,10 +79,8 @@ def interleaving_perm(n: int) -> np.ndarray:
     Grouped layout is (Re_1..Re_n, Im_1..Im_n); interleaved is
     (Re_1, Im_1, ..., Re_n, Im_n).
     """
-    p = np.empty(2 * n, dtype=np.intp)
-    p[0::2] = np.arange(n)
-    p[1::2] = n + np.arange(n)
-    return p
+    p = np.arange(n, dtype=np.intp)
+    return interleave(p, n + p)
 
 
 @dataclass(frozen=True)
@@ -97,10 +102,7 @@ class ChannelRealization:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2:
             raise ValueError("channel matrix must be 2-D (N x M)")
-        flat = matrix.ravel(order="F")
-        h = np.empty(2 * flat.size)
-        h[0::2] = flat.real
-        h[1::2] = flat.imag
+        h = vectorize_received(matrix)
         matrix = matrix.copy()
         matrix.setflags(write=False)
         h.setflags(write=False)
@@ -111,8 +113,7 @@ class ChannelRealization:
         h = np.asarray(h, dtype=float)
         if h.shape != (2 * n * m,):
             raise ValueError(f"expected {2 * n * m} real coefficients, got {h.shape}")
-        matrix = (h[0::2] + 1j * h[1::2]).reshape((n, m), order="F")
-        return cls.from_matrix(matrix)
+        return cls.from_matrix(unvectorize(h, n))
 
     @property
     def n(self) -> int:
@@ -279,13 +280,18 @@ def build_check_H(code: DispersionCode, channel) -> RealLattice:
     ch = _as_channel(code, channel)
     sym = build_symbolic_lattice(code, ch.m)
     hc = evaluate_lattice(sym, ch.h)
-    sigma = code.c * float(np.sum(ch.h * ch.h))
+    sigma = float(channel_sigma(code, ch.h))
     col = float(np.dot(hc[:, 0], hc[:, 0]))
     if abs(col - sigma) > 1e-9 * max(sigma, 1e-300):
         raise ArithmeticError(
             f"sigma routes disagree: column route {col!r}, norm route {sigma!r}")
     hc.setflags(write=False)
     return RealLattice(code_id=code.id, m=ch.m, hcheck=hc, sigma=sigma, c=code.c)
+
+
+def channel_sigma(code: DispersionCode, h: np.ndarray) -> np.ndarray:
+    """sigma = c * ||H||_F^2 from coefficient vectors h (..., 2NM) -> (...)."""
+    return code.c * np.sum(h * h, axis=-1)
 
 
 def build_F(code: DispersionCode, channel) -> tuple[np.ndarray, np.ndarray]:
@@ -309,10 +315,15 @@ def build_F(code: DispersionCode, channel) -> tuple[np.ndarray, np.ndarray]:
 def vectorize_received(y_block) -> np.ndarray:
     """T x M received block -> interleaved real vector of length 2MT."""
     z = np.asarray(y_block, dtype=complex).ravel(order="F")
-    yv = np.empty(2 * z.size)
-    yv[0::2] = z.real
-    yv[1::2] = z.imag
-    return yv
+    return interleave(z.real, z.imag)
+
+
+def unvectorize(v: np.ndarray, rows: int) -> np.ndarray:
+    """Batched inverse of ``vectorize_received``: (..., 2 rows M) reals ->
+    complex matrices (..., rows, M)."""
+    flat = deinterleave(v)
+    cols = flat.shape[-1] // rows
+    return flat.reshape(flat.shape[:-1] + (cols, rows)).swapaxes(-1, -2)
 
 
 def complex_stack(y_block) -> ComplexStack:
@@ -321,12 +332,20 @@ def complex_stack(y_block) -> ComplexStack:
     return ComplexStack(z=z, zprime=np.concatenate([z.real, z.imag]))
 
 
+def interleave(re, im) -> np.ndarray:
+    """Re/Im parts (..., n) and (..., n) -> interleaved (..., 2n):
+    (Re_1, Im_1, ..., Re_n, Im_n)."""
+    pairs = np.stack((re, im), axis=-1)
+    return pairs.reshape(pairs.shape[:-2] + (2 * pairs.shape[-2],))
+
+
 def deinterleave(yv: np.ndarray) -> np.ndarray:
-    """Inverse of the Re/Im interleave: 2n reals -> n complex values."""
+    """Inverse of ``interleave`` as complex values: (..., 2n) reals ->
+    (..., n) complex."""
     yv = np.asarray(yv, dtype=float)
-    if yv.ndim != 1 or yv.size % 2:
-        raise ValueError("interleaved vector must be 1-D with even length")
-    return yv[0::2] + 1j * yv[1::2]
+    if yv.ndim < 1 or yv.shape[-1] % 2:
+        raise ValueError("interleaved vector must have even length")
+    return yv[..., 0::2] + 1j * yv[..., 1::2]
 
 
 @dataclass(frozen=True)

@@ -238,22 +238,17 @@ def _columns_sparse(b: _Builder, sym: SymbolicLattice, group: bool) -> list[int]
                 root, core = _decompose(form)
                 items.append((p, root, core))
         column_r = bool(items) and all(root for _, root, _ in items)
+        # ungrouped (L1) is grouping with one row per group
+        occ: dict[tuple, list[tuple[int, int]]] = {}
+        for p, root, core in items:
+            core, sign = _canonical(core)
+            key = (root and not column_r, core, None if group else p)
+            occ.setdefault(key, []).append((p, sign))
         prods = []
-        if group:
-            occ: dict[tuple, list[tuple[int, int]]] = {}
-            for p, root, core in items:
-                core, sign = _canonical(core)
-                occ.setdefault((root and not column_r, core), []).append((p, sign))
-            for (scaled, core), uses in occ.items():
-                core_slot = _emit_core(b, core, scaled)
-                osum = b.signed_sum([(sign, b.y(p)) for p, sign in uses])
-                prods.append(b.mul(core_slot, osum))
-        else:
-            for p, root, core in items:
-                core, sign = _canonical(core)
-                core_slot = _emit_core(b, core, root and not column_r)
-                osum = b.y(p) if sign > 0 else b.neg(b.y(p))
-                prods.append(b.mul(core_slot, osum))
+        for (scaled, core, _), uses in occ.items():
+            core_slot = _emit_core(b, core, scaled)
+            osum = b.signed_sum([(sign, b.y(p)) for p, sign in uses])
+            prods.append(b.mul(core_slot, osum))
         acc = b.sum_chain(prods)
         if column_r:
             acc = b.mul(b.rsqrt2(), acc)

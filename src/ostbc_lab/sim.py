@@ -41,7 +41,10 @@ from .decoders import (
 from .lattice import (
     ChannelRealization,
     build_symbolic_lattice,
+    channel_sigma,
+    deinterleave,
     evaluate_lattice_batch,
+    interleave,
 )
 
 __all__ = [
@@ -92,6 +95,8 @@ class SimConfig:
     decoders: tuple[str, ...] = ("lattice",)
 
     def __post_init__(self):
+        get_code(self.code)
+        get_constellation(self.constellation)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "decoders", _decoder_names(self.decoders))
         if not self.snr_db:
@@ -175,15 +180,6 @@ def _draw_trial(rng, n, m, t, k, size, scale):
     return h, sym, noise, redraws
 
 
-def _component_indices(sym_idx: np.ndarray, levels: int) -> np.ndarray:
-    """(..., K) symbol indices -> (..., 2K) interleaved component indices."""
-    re_i, im_i = np.divmod(sym_idx, levels)
-    out = np.empty(sym_idx.shape[:-1] + (2 * sym_idx.shape[-1],), dtype=np.intp)
-    out[..., 0::2] = re_i
-    out[..., 1::2] = im_i
-    return out
-
-
 def _run_batch(code, const, m, scale, rngs, decoders):
     """Draw, transmit and decode one trial per substream in `rngs`.
 
@@ -200,10 +196,11 @@ def _run_batch(code, const, m, scale, rngs, decoders):
         h[i], sent[i], noise[i], r = _draw_trial(
             rng, code.n, m, code.t, code.k, const.size, scale)
         redraws += r
-    comp = _component_indices(sent, const.levels)
+    # symbol index = Re component index * levels + Im component index
+    comp = interleave(*np.divmod(sent, const.levels))
     x = const.component_alphabet[comp]
     hc = evaluate_lattice_batch(build_symbolic_lattice(code, m), h)
-    sigma = code.c * np.sum(h * h, axis=1)
+    sigma = channel_sigma(code, h)
     yv = np.einsum("bpj,bj->bp", hc, x) + noise
     decoded = {}
     for name in decoders:
@@ -240,11 +237,9 @@ def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
 
 def _count_errors(sent_comp, dec_comp, gray):
     """Symbol and bit error totals for (..., 2K) component index arrays."""
-    re_s, im_s = sent_comp[..., 0::2], sent_comp[..., 1::2]
-    re_d, im_d = dec_comp[..., 0::2], dec_comp[..., 1::2]
-    sym_err = int(np.sum((re_s != re_d) | (im_s != im_d)))
-    bits = np.bitwise_count(gray[re_s] ^ gray[re_d]) \
-        + np.bitwise_count(gray[im_s] ^ gray[im_d])
+    # a symbol is wrong when its (Re, Im) index pair is
+    sym_err = int(np.sum(deinterleave(sent_comp) != deinterleave(dec_comp)))
+    bits = np.bitwise_count(gray[sent_comp] ^ gray[dec_comp])
     return sym_err, int(np.sum(bits))
 
 
@@ -288,8 +283,6 @@ def resolve_workers() -> int:
 def run_ber(config: SimConfig) -> BerResult:
     """Sweep all SNR points; deterministic for a given config, regardless
     of worker count."""
-    get_code(config.code)
-    get_constellation(config.constellation)
     npoints = len(config.snr_db)
     workers = min(resolve_workers(), npoints)
     if workers > 1:

@@ -104,6 +104,19 @@ def test_verify_corrupted_file_fails(capsys, tmp_path):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["--trials", "0"],
+    ["--trials", "-3"],
+    ["--seed", "-1"],
+    ["--seed", str(2 ** 64)],
+])
+def test_verify_rejects_vacuous_or_out_of_range(capsys, argv):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_simulate_outputs(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
     pre1, pre2 = tmp_path / "r1", tmp_path / "r2"

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ostbc_lab.codes import builtin_code_ids, encode, get_code
 from ostbc_lab.lattice import (
@@ -10,14 +11,17 @@ from ostbc_lab.lattice import (
     build_F,
     build_check_H,
     build_symbolic_lattice,
+    channel_sigma,
     complex_stack,
     deinterleave,
     evaluate_lattice,
     evaluate_lattice_batch,
     h_index,
+    interleave,
     interleaving_perm,
     linform_value,
     verify_lattice,
+    unvectorize,
     vectorize_received,
     write_hcheck_csv,
 )
@@ -117,6 +121,33 @@ def test_vectorize_round_trip():
     y = sample_channel_matrix(rng, 4, 3)  # any T x M block
     back = deinterleave(vectorize_received(y)).reshape(4, 3, order="F")
     np.testing.assert_array_equal(back, y)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=3), st.integers(1, 6),
+       st.sampled_from(builtin_code_ids()), st.integers(1, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_layout_helpers_match_per_item_forms(lead, n, cid, m, seed):
+    # the batched layout helpers act item by item like the one-channel forms
+    lead = tuple(lead)
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal(lead + (n,)), rng.standard_normal(lead + (n,))
+    np.testing.assert_array_equal(deinterleave(interleave(re, im)),
+                                  re + 1j * im)
+    with pytest.raises(ValueError):
+        deinterleave(np.zeros(lead + (2 * n - 1,)))
+    code = get_code(cid)
+    h = rng.standard_normal(lead + (2 * code.n * m,))
+    mats, sigma = unvectorize(h, code.n), channel_sigma(code, h)
+    assert mats.shape == lead + (code.n, m)
+    assert sigma.shape == lead
+    for i in np.ndindex(lead):
+        ch = ChannelRealization.from_h(h[i], code.n, m)
+        np.testing.assert_array_equal(mats[i], ch.matrix)
+        np.testing.assert_array_equal(vectorize_received(mats[i]), h[i])
+        assert sigma[i] == build_check_H(code, ch).sigma
+        assert sigma[i] == pytest.approx(
+            code.c * np.sum(np.abs(ch.matrix) ** 2), rel=1e-12)
 
 
 def test_complex_stack_layout():

@@ -85,6 +85,8 @@ def test_config_normalization():
     {"snr_db": (math.nan,)},
     {"snr_db": (0.0, -math.inf)},
     {"trials": 2 ** 32},
+    {"code": "g5"},
+    {"constellation": "8psk"},
 ])
 def test_config_rejects(kw):
     base = dict(code="g2", constellation="4qam", snr_db=(0.0,),
@@ -166,6 +168,33 @@ def test_all_decoders_sweep_agreement(monkeypatch):
     res = run_ber(cfg)
     assert res.agreement == 1.0
     assert res.points[0].disagreements == 0
+
+
+# (sym_errors, bit_errors) at 0 dB and 6 dB; 500 trials, seed 2026, m=1.
+# Any change to the substreams, the transmit model or a decision shows here.
+FROZEN_TOTALS = {
+    ("g2", "4qam"): [(228, 241), (45, 47)],
+    ("g2", "16qam"): [(652, 982), (377, 459)],
+    ("g3", "4qam"): [(127, 136), (8, 8)],
+    ("g3", "16qam"): [(852, 1051), (230, 248)],
+    ("g4", "4qam"): [(51, 52), (1, 1)],
+    ("g4", "16qam"): [(658, 767), (121, 125)],
+    ("h3", "4qam"): [(207, 224), (21, 21)],
+    ("h3", "16qam"): [(871, 1183), (371, 422)],
+}
+
+
+@pytest.mark.parametrize("cid,mod", sorted(FROZEN_TOTALS))
+def test_sweep_totals_frozen(monkeypatch, cid, mod):
+    monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
+    decoder_sets = [("lattice",), ("all",)] if mod == "4qam" else [("lattice",)]
+    for decoders in decoder_sets:
+        cfg = SimConfig(code=cid, constellation=mod, snr_db=(0.0, 6.0),
+                        trials=500, seed=2026, decoders=decoders)
+        points = run_ber(cfg).points
+        assert [(p.sym_errors, p.bit_errors) for p in points] \
+            == FROZEN_TOTALS[cid, mod]
+        assert all(p.disagreements == 0 for p in points)
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
