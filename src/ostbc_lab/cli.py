@@ -81,6 +81,8 @@ def cmd_codes(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.m < 1:
+        raise ValueError("--m must be >= 1")
     if not 0 <= args.seed < 2 ** 64:
         raise ValueError("--seed must fit in 64 bits")
     code = _resolve_code(args)

@@ -10,8 +10,14 @@ noise-free model (the noise draw still happens, keeping streams aligned).
 Determinism: every trial owns a Philox substream keyed by
 (seed, point_index << 32 | trial_index) with a fixed draw order (channel,
 symbol indices, noise), so results are independent of chunking, worker
-count, and trial interleaving.  ``run_trial`` is a batch of one through the
-same function the sweep runs on each chunk.
+count, and trial interleaving.  The sweep draws a whole chunk's substreams
+at once (``_substreams``: vectorized Philox4x64-10, the ziggurat's fast and
+wedge paths, Lemire symbol indices), bit for bit equal to drawing each trial
+from its own ``Generator(Philox(key))``; the few trials that need the
+ziggurat tail, sit on a rounding tie, or draw an all-zero channel are redrawn
+that way.  ``run_trial`` draws its one trial from the generator it is given
+and runs the same transmit and decode function as the sweep, so a sweep
+decomposes exactly into per-trial draws.
 
 Error counting uses the first selected decoder; any further selected
 decoders are run in the same batch and compared, with disagreements counted
@@ -31,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _substreams
 from .codes import RSQRT2, get_code
 from .constellation import get_constellation, quantize_indices
 from .decoders import (
@@ -180,22 +187,32 @@ def _draw_trial(rng, n, m, t, k, size, scale):
     return h, sym, noise, redraws
 
 
-def _run_batch(code, const, m, scale, rngs, decoders):
-    """Draw, transmit and decode one trial per substream in `rngs`.
+def _draw_chunk(code, m, size, scale, seed, point, trials):
+    """Draws of trials `trials` of `point`: (h (B, 2NM), symbol indices
+    (B, K), noise (B, 2MT), redraws), each row equal to `_draw_trial` on the
+    trial's own substream.
+
+    The batched draw covers most trials; the rest are redrawn here.
+    """
+    h, sym, noise, ok = _substreams.draw(
+        seed, point, trials, 2 * code.n * m, code.k, size, 2 * m * code.t)
+    h *= RSQRT2
+    noise *= scale
+    redraws = 0
+    for i in np.flatnonzero(~ok):
+        h[i], sym[i], noise[i], r = _draw_trial(
+            _trial_rng(seed, point, int(trials[i])), code.n, m, code.t,
+            code.k, size, scale)
+        redraws += r
+    return h, sym, noise, redraws
+
+
+def _run_batch(code, const, m, h, sent, noise, decoders):
+    """Transmit and decode one trial per row of the drawn (h, sent, noise).
 
     Returns (sent component indices (B, 2K), decoded indices (B, 2K) per
-    decoder name, per-trial agreement of every decoder with the first (B,),
-    redraws).
+    decoder name, per-trial agreement of every decoder with the first (B,)).
     """
-    b = len(rngs)
-    h = np.empty((b, 2 * code.n * m))
-    sent = np.empty((b, code.k), dtype=np.intp)
-    noise = np.empty((b, 2 * m * code.t))
-    redraws = 0
-    for i, rng in enumerate(rngs):
-        h[i], sent[i], noise[i], r = _draw_trial(
-            rng, code.n, m, code.t, code.k, const.size, scale)
-        redraws += r
     # symbol index = Re component index * levels + Im component index
     comp = interleave(*np.divmod(sent, const.levels))
     x = const.component_alphabet[comp]
@@ -212,22 +229,25 @@ def _run_batch(code, const, m, scale, rngs, decoders):
     first = decoded[decoders[0]]
     agree = np.all([np.all(d == first, axis=1) for d in decoded.values()],
                    axis=0)
-    return comp, decoded, agree, redraws
+    return comp, decoded, agree
 
 
 def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
               decoders=("lattice",), m: int = 1) -> TrialResult:
     """One end-to-end trial on a caller-provided substream.
 
-    code and constellation may be ids or resolved objects.  This is a batch
-    of one through the function the sweep runs on each chunk, so a sweep
-    decomposes exactly into these trials.
+    code and constellation may be ids or resolved objects.  The draws come
+    from `rng` one by one; transmit and decode are a batch of one through
+    the function the sweep runs on each chunk, so a sweep decomposes exactly
+    into these trials.
     """
     code = get_code(code) if isinstance(code, str) else code
     const = get_constellation(constellation) \
         if isinstance(constellation, str) else constellation
-    comp, decoded, agree, redraws = _run_batch(
-        code, const, m, _noise_scale(snr_db), [rng], _decoder_names(decoders))
+    h, sym, noise, redraws = _draw_trial(
+        rng, code.n, m, code.t, code.k, const.size, _noise_scale(snr_db))
+    comp, decoded, agree = _run_batch(code, const, m, h[None], sym[None],
+                                      noise[None], _decoder_names(decoders))
     return TrialResult(
         sent=comp[0],
         decoded={name: DecodedMessage.from_indices(idx[0], const)
@@ -250,10 +270,11 @@ def _simulate_point(config: SimConfig, point: int) -> PointResult:
     scale = _noise_scale(config.snr_db[point])
     sym_errors = bit_errors = redraws = disagreements = 0
     for start in range(0, config.trials, _CHUNK):
-        rngs = [_trial_rng(config.seed, point, t)
-                for t in range(start, min(start + _CHUNK, config.trials))]
-        comp, decoded, agree, r = _run_batch(code, const, config.m, scale,
-                                             rngs, config.decoders)
+        trials = np.arange(start, min(start + _CHUNK, config.trials))
+        h, sym, noise, r = _draw_chunk(code, config.m, const.size, scale,
+                                       config.seed, point, trials)
+        comp, decoded, agree = _run_batch(code, const, config.m, h, sym,
+                                          noise, config.decoders)
         se, be = _count_errors(comp, decoded[config.decoders[0]], const.gray)
         sym_errors += se
         bit_errors += be

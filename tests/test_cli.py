@@ -109,12 +109,15 @@ def test_verify_corrupted_file_fails(capsys, tmp_path):
     ["--trials", "-3"],
     ["--seed", "-1"],
     ["--seed", str(2 ** 64)],
+    ["--m", "0"],
+    ["--m", "-1"],
 ])
 def test_verify_rejects_vacuous_or_out_of_range(capsys, argv):
     rc, out, err = run(capsys, "verify", *argv)
     assert rc == 2
     assert out == ""
     assert "error:" in err
+    assert argv[0] in err  # the message names the offending option
 
 
 def test_simulate_outputs(capsys, tmp_path, monkeypatch):
