@@ -175,6 +175,26 @@ def _scatter_arrays(sym: SymbolicLattice):
     return out
 
 
+@lru_cache(maxsize=None)
+def _ranked_terms(sym: SymbolicLattice):
+    """The scatter terms split by rank within their entry: element r holds
+    (positions, h indices, coefficients) of every entry's (r+1)-th term, in
+    stored order.  Positions are distinct within a rank, so each rank is one
+    gather-multiply-add, and adding rank by rank adds an entry's terms in
+    the stored order."""
+    pos, hidx, coef = _scatter_arrays(sym)
+    # an entry's terms are adjacent: rank = index - index of its first term
+    i = np.arange(pos.size)
+    first = np.r_[True, pos[1:] != pos[:-1]]
+    rank = i - np.maximum.accumulate(np.where(first, i, 0))
+    out = tuple(tuple(a[rank == r] for a in (pos, hidx, coef))
+                for r in range(int(rank.max(initial=-1)) + 1))
+    for arrays in out:
+        for arr in arrays:
+            arr.setflags(write=False)
+    return out
+
+
 def linform_value(form: LinForm, h: np.ndarray) -> np.ndarray:
     """Evaluate one entry at coefficient vectors h (..., 2NM), terms in
     stored order."""
@@ -233,10 +253,14 @@ def evaluate_lattice(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
 
 
 def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
-    """Numeric H_check for a batch of coefficient vectors (B, 2NM) -> (B, 2MT, 2K)."""
-    pos, hidx, coef = sym.scatter()
+    """Numeric H_check for a batch of coefficient vectors (B, 2NM) -> (B, 2MT, 2K).
+
+    Each entry is 0.0 plus its terms in stored order, bit for bit (-0.0
+    included) what ``np.add.at`` over ``sym.scatter()`` gives.
+    """
     flat = np.zeros((h.shape[0], sym.rows * sym.cols))
-    np.add.at(flat, (slice(None), pos), coef * h[:, hidx])
+    for pos, hidx, coef in _ranked_terms(sym):
+        flat[:, pos] += coef * h[:, hidx]
     return flat.reshape(h.shape[0], sym.rows, sym.cols)
 
 

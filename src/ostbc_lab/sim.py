@@ -10,14 +10,18 @@ noise-free model (the noise draw still happens, keeping streams aligned).
 Determinism: every trial owns a Philox substream keyed by
 (seed, point_index << 32 | trial_index) with a fixed draw order (channel,
 symbol indices, noise), so results are independent of chunking, worker
-count, and trial interleaving.  The sweep draws a whole chunk's substreams
-at once (``_substreams``: vectorized Philox4x64-10, the ziggurat's fast and
-wedge paths, Lemire symbol indices), bit for bit equal to drawing each trial
-from its own ``Generator(Philox(key))``; the few trials that need the
-ziggurat tail, sit on a rounding tie, or draw an all-zero channel are redrawn
-that way.  ``run_trial`` draws its one trial from the generator it is given
-and runs the same transmit and decode function as the sweep, so a sweep
-decomposes exactly into per-trial draws.
+count, and trial interleaving.  The sweep draws the substreams of a block
+of ``_DRAW`` trials at once (``_substreams``: vectorized Philox4x64-10, the
+ziggurat's fast and wedge paths, Lemire symbol indices), bit for bit equal to
+drawing each trial from its own ``Generator(Philox(key))``; the few trials
+that need the ziggurat tail, sit on a rounding tie, or draw an all-zero
+channel are redrawn that way.  Each draw block is then transmitted and
+decoded ``_CHUNK`` trials at a time.  The sizes differ because a draw call
+has a fixed cost of some forty NumPy calls, which a larger block spreads
+thinner, while the decode arrays (the exhaustive grid above all) set peak
+memory, which a smaller chunk keeps down.  ``run_trial`` draws its one trial
+from the generator it is given and runs the same transmit and decode
+function as the sweep, so a sweep decomposes exactly into per-trial draws.
 
 Error counting uses the first selected decoder; any further selected
 decoders are run in the same batch and compared, with disagreements counted
@@ -73,6 +77,8 @@ SCHEMA = "ostbc-lab/1"
 DECODER_NAMES = ("lattice", "trace", "f", "fprime", "exhaustive")
 # Trials decoded together; bounds the per-chunk arrays of every decoder set.
 _CHUNK = 128
+# Trials drawn together, in larger blocks than the decode chunks (see above).
+_DRAW = 512
 
 
 def _decoder_names(decoders) -> tuple[str, ...]:
@@ -104,13 +110,16 @@ class SimConfig:
     def __post_init__(self):
         get_code(self.code)
         get_constellation(self.constellation)
+        # the substream key is (point << 32) | trial, so points and trials
+        # each stay below 2**32; the points are counted before any is copied
+        if len(self.snr_db) >= 2 ** 32:
+            raise ValueError("snr_db must have fewer than 2**32 points")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "decoders", _decoder_names(self.decoders))
         if not self.snr_db:
             raise ValueError("snr_db must be nonempty")
         if any(math.isnan(s) or s == -math.inf for s in self.snr_db):
             raise ValueError("snr_db values must be finite or +inf")
-        # the substream key is (point << 32) | trial
         if not 1 <= self.trials < 2 ** 32:
             raise ValueError("trials must be in [1, 2**32)")
         if not 0 <= self.seed < 2 ** 64:
@@ -264,22 +273,27 @@ def _count_errors(sent_comp, dec_comp, gray):
 
 
 def _simulate_point(config: SimConfig, point: int) -> PointResult:
-    """Sweep one SNR point chunk by chunk, running every selected decoder."""
+    """Sweep one SNR point: draw `_DRAW` trials at a time and decode them
+    `_CHUNK` at a time, running every selected decoder."""
     code = get_code(config.code)
     const = get_constellation(config.constellation)
     scale = _noise_scale(config.snr_db[point])
     sym_errors = bit_errors = redraws = disagreements = 0
-    for start in range(0, config.trials, _CHUNK):
-        trials = np.arange(start, min(start + _CHUNK, config.trials))
+    for start in range(0, config.trials, _DRAW):
+        trials = np.arange(start, min(start + _DRAW, config.trials))
         h, sym, noise, r = _draw_chunk(code, config.m, const.size, scale,
                                        config.seed, point, trials)
-        comp, decoded, agree = _run_batch(code, const, config.m, h, sym,
-                                          noise, config.decoders)
-        se, be = _count_errors(comp, decoded[config.decoders[0]], const.gray)
-        sym_errors += se
-        bit_errors += be
         redraws += r
-        disagreements += int(np.sum(~agree))
+        for lo in range(0, trials.size, _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            comp, decoded, agree = _run_batch(code, const, config.m, h[rows],
+                                              sym[rows], noise[rows],
+                                              config.decoders)
+            se, be = _count_errors(comp, decoded[config.decoders[0]],
+                                   const.gray)
+            sym_errors += se
+            bit_errors += be
+            disagreements += int(np.sum(~agree))
     n_sym = config.trials * code.k
     n_bit = n_sym * const.bits_per_symbol
     if sym_errors > n_sym:
@@ -295,7 +309,11 @@ def resolve_workers() -> int:
     raw = os.environ.get("OSTBC_LAB_THREADS", "").strip()
     if not raw:
         return 1
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"OSTBC_LAB_THREADS must be an integer, got {raw!r}") from None
     if count < 0:
         raise ValueError("OSTBC_LAB_THREADS must be >= 0")
     return count if count else (os.cpu_count() or 1)

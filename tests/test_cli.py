@@ -155,6 +155,16 @@ def test_simulate_bad_snr_list(capsys, tmp_path):
     assert "bad --snr" in err
 
 
+def test_simulate_bad_thread_count_names_variable(capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setenv("OSTBC_LAB_THREADS", "abc")
+    rc, _, err = run(capsys, "simulate", "--code", "g2", "--mod", "4qam",
+                     "--snr", "3", "--trials", "10",
+                     "--out", str(tmp_path / "x"))
+    assert rc == 2
+    assert "error: OSTBC_LAB_THREADS" in err
+
+
 @pytest.mark.parametrize("snr", ["nan", "0,-inf"])
 def test_simulate_rejects_undefined_snr(capsys, tmp_path, snr):
     rc, _, err = run(capsys, "simulate", "--code", "g2", "--mod", "4qam",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ostbc_lab.codes import builtin_code_ids, encode, get_code
+from ostbc_lab.codes import DispersionCode, builtin_code_ids, encode, get_code
 from ostbc_lab.lattice import (
     ChannelRealization,
     RealLattice,
@@ -270,6 +270,69 @@ def test_batch_evaluation_matches_single():
     batch = evaluate_lattice_batch(sym, hb)
     for i in range(8):
         np.testing.assert_array_equal(batch[i], evaluate_lattice(sym, hb[i]))
+
+
+def add_at_oracle(sym, h):
+    """H_check by np.add.at over the stored scatter terms."""
+    pos, hidx, coef = sym.scatter()
+    flat = np.zeros((h.shape[0], sym.rows * sym.cols))
+    np.add.at(flat, (slice(None), pos), coef * h[:, hidx])
+    return flat.reshape(h.shape[0], sym.rows, sym.cols)
+
+
+def assert_bitwise_equal_to_oracle(sym, h):
+    got, want = evaluate_lattice_batch(sym, h), add_at_oracle(sym, h)
+    assert got.shape == want.shape
+    # compare raw bytes, so that -0.0 and 0.0 differ
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def signed_zero_batch(rng, b, width):
+    """Normal coefficients with about a third of them +0.0 or -0.0."""
+    h = rng.standard_normal((b, width))
+    zero = rng.random((b, width))
+    h[zero < 0.15] = 0.0
+    h[(zero >= 0.15) & (zero < 0.3)] = -0.0
+    return h
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("cid", builtin_code_ids())
+def test_batch_evaluation_bitwise_equals_add_at(cid, m):
+    sym = build_symbolic_lattice(get_code(cid), m)
+    width = 2 * sym.code.n * m
+    rng = np.random.default_rng(29)
+    assert_bitwise_equal_to_oracle(sym, signed_zero_batch(rng, 64, width))
+    assert_bitwise_equal_to_oracle(sym, np.zeros((0, width)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(3)), st.lists(st.sampled_from((1, -1)),
+                                            min_size=3, max_size=3),
+       st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4),
+       st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_batch_evaluation_bitwise_on_transformed_h3(perm, col_sign, row_sign,
+                                                    m, seed):
+    # G(s) -> diag(row_sign) G(s) P diag(col_sign) stays orthogonal and
+    # keeps h3's two-term entries, on other channel indices and signs
+    base = get_code("h3")
+
+    def transform(mats):
+        return tuple(tuple(tuple(row_sign[t] * col_sign[l] * mat[t][perm[l]]
+                                 for l in range(base.n))
+                           for t in range(base.t)) for mat in mats)
+
+    code = DispersionCode(id="h3", n=base.n, t=base.t, k=base.k, c=base.c,
+                          a_tags=transform(base.a_tags),
+                          b_tags=transform(base.b_tags))
+    sym = build_symbolic_lattice(code, m)
+    assert max(len(form) for row in sym.entries for form in row) == 2
+    rng = np.random.default_rng(seed)
+    h = signed_zero_batch(rng, 16, 2 * code.n * m)
+    assert_bitwise_equal_to_oracle(sym, h)
+    lat = build_check_H(code, unvectorize(rng.standard_normal(2 * code.n * m),
+                                          code.n))
+    assert verify_lattice(lat).passed
 
 
 def test_hcheck_csv_round_trip(tmp_path):

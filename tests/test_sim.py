@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ostbc_lab import _substreams, sim
 from ostbc_lab.codes import get_code
 from ostbc_lab.constellation import get_constellation
 from ostbc_lab.sim import (
@@ -87,6 +88,7 @@ def test_config_normalization():
     {"trials": 2 ** 32},
     {"code": "g5"},
     {"constellation": "8psk"},
+    {"snr_db": range(2 ** 32)},
 ])
 def test_config_rejects(kw):
     base = dict(code="g2", constellation="4qam", snr_db=(0.0,),
@@ -146,6 +148,22 @@ def test_sweep_decomposes_into_trials(monkeypatch, decoders):
     assert point.bit_errors == bits
     assert point.disagreements == 0
     assert point.sym_errors > 0  # 0 dB actually exercises the counter
+
+
+@pytest.mark.parametrize("draw", [96, 128, 1000])
+def test_sweep_independent_of_draw_block(monkeypatch, draw):
+    # 1100 trials cross several draw blocks and decode chunks of every
+    # size here, and some g3 m=2 trials fall back to a per-trial redraw
+    monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
+    cfg = SimConfig(code="g3", constellation="16qam", snr_db=(0.0,),
+                    trials=1100, seed=31, m=2)
+    code = get_code("g3")
+    ok = _substreams.draw(cfg.seed, 0, np.arange(cfg.trials), 2 * code.n * 2,
+                          code.k, 16, 2 * 2 * code.t)[3]
+    assert not ok.all()
+    default = ber_to_json(run_ber(cfg))
+    monkeypatch.setattr(sim, "_DRAW", draw)
+    assert ber_to_json(run_ber(cfg)) == default
 
 
 def test_noise_free_sweep_is_error_free(monkeypatch):
