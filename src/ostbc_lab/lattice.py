@@ -66,6 +66,8 @@ __all__ = [
 Term = tuple[int, int]
 # exact lattice entry: sum of terms, ascending channel index, empty == zero
 LinForm = tuple[Term, ...]
+# Trials per pass of `evaluate_lattice_batch`; bounds its working arrays.
+_EVAL_BLOCK = 256
 
 
 def h_index(l: int, j: int, imag: bool, n: int) -> int:
@@ -256,12 +258,26 @@ def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     """Numeric H_check for a batch of coefficient vectors (B, 2NM) -> (B, 2MT, 2K).
 
     Each entry is 0.0 plus its terms in stored order, bit for bit (-0.0
-    included) what ``np.add.at`` over ``sym.scatter()`` gives.
+    included) what ``np.add.at`` over ``sym.scatter()`` gives.  The sums
+    run entry-major, on an (entries, B) buffer and a contiguous h.T, so each
+    gather and add moves whole rows instead of striding across the batch.
+    Batches above `_EVAL_BLOCK` are evaluated in slices of that many trials
+    and concatenated, so the buffer and the gather temporaries stay small.
     """
-    flat = np.zeros((h.shape[0], sym.rows * sym.cols))
+    if h.shape[0] > _EVAL_BLOCK:
+        return np.concatenate([
+            evaluate_lattice_batch(sym, h[lo:lo + _EVAL_BLOCK])
+            for lo in range(0, h.shape[0], _EVAL_BLOCK)])
+    ht = np.ascontiguousarray(h.T)
+    flat = np.zeros((sym.rows * sym.cols, h.shape[0]))
     for pos, hidx, coef in _ranked_terms(sym):
-        flat[:, pos] += coef * h[:, hidx]
-    return flat.reshape(h.shape[0], sym.rows, sym.cols)
+        flat[pos] += coef[:, None] * ht[hidx]
+    # the result is allocated after the buffer: allocated first, it left the
+    # freed buffer at the top of the heap, where glibc trimmed it and the
+    # next call paid page faults to get it back (several-fold the faults per
+    # g3 m=2 sweep)
+    return np.ascontiguousarray(flat.T).reshape(h.shape[0], sym.rows,
+                                                sym.cols)
 
 
 @dataclass(frozen=True)

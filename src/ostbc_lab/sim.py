@@ -23,6 +23,21 @@ memory, which a smaller chunk keeps down.  ``run_trial`` draws its one trial
 from the generator it is given and runs the same transmit and decode
 function as the sweep, so a sweep decomposes exactly into per-trial draws.
 
+Workers: a sweep is cut into (point, block) tasks of ``_TASK`` trials, a
+whole number of draw blocks, the last task of each point clipped.  A task
+returns four integer counters (symbol errors, bit errors, redraws,
+disagreements), and a point's result is the sum of its tasks' counters, so
+one-point runs spread over workers as well as many-point runs.
+``OSTBC_LAB_THREADS`` asks for workers; the sweep uses no more than it has
+tasks or than the CPUs the process may run on.  One worker runs the tasks in
+this process; more run them in a process pool fed from a window of
+2 x workers tasks, read back in task order.  Since every trial's draws are
+keyed by the trial alone and the counters are integer sums, results are
+byte-identical whatever the worker count and task size.  The task size is
+large enough that a task's pickling and pool hand-off stay small against its
+decode work, and small enough that a few tasks per worker even out the load
+when the trial count does not divide evenly.
+
 Error counting uses the first selected decoder; any further selected
 decoders are run in the same batch and compared, with disagreements counted
 (an agreement below 100% is a bug surface, not a statistic).  JSON output
@@ -35,7 +50,9 @@ import csv
 import io
 import json
 import math
+import operator
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -79,6 +96,9 @@ DECODER_NAMES = ("lattice", "trace", "f", "fprime", "exhaustive")
 _CHUNK = 128
 # Trials drawn together, in larger blocks than the decode chunks (see above).
 _DRAW = 512
+# Trials per (point, block) task, the unit of work a pool worker takes: a
+# whole number of draw blocks (see above).
+_TASK = 16 * _DRAW
 
 
 def _decoder_names(decoders) -> tuple[str, ...]:
@@ -272,20 +292,25 @@ def _count_errors(sent_comp, dec_comp, gray):
     return sym_err, int(np.sum(bits))
 
 
-def _simulate_point(config: SimConfig, point: int) -> PointResult:
-    """Sweep one SNR point: draw `_DRAW` trials at a time and decode them
-    `_CHUNK` at a time, running every selected decoder."""
+def _simulate_block(config: SimConfig, point: int, start: int,
+                    stop: int) -> tuple[int, int, int, int]:
+    """Sweep trials [start, stop) of one SNR point: draw `_DRAW` trials at a
+    time and decode them `_CHUNK` at a time, running every selected decoder.
+
+    Returns the counters (symbol errors, bit errors, redraws,
+    disagreements), which add up over the blocks of a point.
+    """
     code = get_code(config.code)
     const = get_constellation(config.constellation)
     scale = _noise_scale(config.snr_db[point])
     sym_errors = bit_errors = redraws = disagreements = 0
-    for start in range(0, config.trials, _DRAW):
-        trials = np.arange(start, min(start + _DRAW, config.trials))
+    for lo in range(start, stop, _DRAW):
+        trials = np.arange(lo, min(lo + _DRAW, stop))
         h, sym, noise, r = _draw_chunk(code, config.m, const.size, scale,
                                        config.seed, point, trials)
         redraws += r
-        for lo in range(0, trials.size, _CHUNK):
-            rows = slice(lo, lo + _CHUNK)
+        for c in range(0, trials.size, _CHUNK):
+            rows = slice(c, c + _CHUNK)
             comp, decoded, agree = _run_batch(code, const, config.m, h[rows],
                                               sym[rows], noise[rows],
                                               config.decoders)
@@ -294,6 +319,13 @@ def _simulate_point(config: SimConfig, point: int) -> PointResult:
             sym_errors += se
             bit_errors += be
             disagreements += int(np.sum(~agree))
+    return sym_errors, bit_errors, redraws, disagreements
+
+
+def _point_result(config: SimConfig, point: int, counters) -> PointResult:
+    sym_errors, bit_errors, redraws, disagreements = counters
+    code = get_code(config.code)
+    const = get_constellation(config.constellation)
     n_sym = config.trials * code.k
     n_bit = n_sym * const.bits_per_symbol
     if sym_errors > n_sym:
@@ -304,8 +336,18 @@ def _simulate_point(config: SimConfig, point: int) -> PointResult:
                        redraws=redraws, disagreements=disagreements)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def resolve_workers() -> int:
-    """Worker count from OSTBC_LAB_THREADS: unset -> 1, 0 -> all cores."""
+    """Worker count from OSTBC_LAB_THREADS: unset -> 1, 0 -> every CPU the
+    process may use."""
     raw = os.environ.get("OSTBC_LAB_THREADS", "").strip()
     if not raw:
         return 1
@@ -316,21 +358,58 @@ def resolve_workers() -> int:
             f"OSTBC_LAB_THREADS must be an integer, got {raw!r}") from None
     if count < 0:
         raise ValueError("OSTBC_LAB_THREADS must be >= 0")
-    return count if count else (os.cpu_count() or 1)
+    return count if count else _usable_cpus()
+
+
+def _worker_count(threads: int, points: int, trials: int, cpus: int) -> int:
+    """Processes for a sweep of `points` x `trials`: no more than asked
+    for, than its (point, block) tasks, or than the usable CPUs."""
+    tasks = points * -(-trials // _TASK)
+    return min(threads, tasks, cpus)
+
+
+def _tasks(config: SimConfig):
+    """(point, start, stop) of every task: points in order, each cut into
+    `_TASK`-trial blocks, the last one clipped."""
+    for point in range(len(config.snr_db)):
+        for start in range(0, config.trials, _TASK):
+            yield point, start, min(start + _TASK, config.trials)
+
+
+def _task_counters(config: SimConfig, workers: int):
+    """(point, counters) of every task, in task order.
+
+    One worker runs the tasks here, in this process.  More workers get them
+    from a window of at most 2 x workers submitted tasks, whose results are
+    read in submission order, so the parent holds a bounded number of
+    futures however many tasks the sweep has.
+    """
+    if workers == 1:
+        for point, start, stop in _tasks(config):
+            yield point, _simulate_block(config, point, start, stop)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+        for point, start, stop in _tasks(config):
+            window.append((point, pool.submit(_simulate_block, config,
+                                              point, start, stop)))
+            if len(window) == 2 * workers:
+                done_point, future = window.popleft()
+                yield done_point, future.result()
+        for done_point, future in window:
+            yield done_point, future.result()
 
 
 def run_ber(config: SimConfig) -> BerResult:
     """Sweep all SNR points; deterministic for a given config, regardless
     of worker count."""
-    npoints = len(config.snr_db)
-    workers = min(resolve_workers(), npoints)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_simulate_point, [config] * npoints,
-                                   range(npoints)))
-    else:
-        points = [_simulate_point(config, p) for p in range(npoints)]
-    return BerResult(config=config, rng="philox", points=tuple(points))
+    workers = _worker_count(resolve_workers(), len(config.snr_db),
+                            config.trials, _usable_cpus())
+    totals = [(0, 0, 0, 0)] * len(config.snr_db)
+    for point, counters in _task_counters(config, workers):
+        totals[point] = tuple(map(operator.add, totals[point], counters))
+    return BerResult(config=config, rng="philox", points=tuple(
+        _point_result(config, p, c) for p, c in enumerate(totals)))
 
 
 def ber_to_json(result: BerResult) -> str:

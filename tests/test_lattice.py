@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ostbc_lab import lattice
 from ostbc_lab.codes import DispersionCode, builtin_code_ids, encode, get_code
 from ostbc_lab.lattice import (
     ChannelRealization,
@@ -304,6 +305,17 @@ def test_batch_evaluation_bitwise_equals_add_at(cid, m):
     rng = np.random.default_rng(29)
     assert_bitwise_equal_to_oracle(sym, signed_zero_batch(rng, 64, width))
     assert_bitwise_equal_to_oracle(sym, np.zeros((0, width)))
+
+
+@pytest.mark.parametrize("cid,m", [("g3", 2), ("h3", 1)])
+def test_batch_evaluation_bitwise_across_passes(cid, m):
+    # a batch of several evaluation passes, the last one partial, comes
+    # back bitwise equal and in the C layout the transmit einsum reads
+    sym = build_symbolic_lattice(get_code(cid), m)
+    h = signed_zero_batch(np.random.default_rng(31),
+                          2 * lattice._EVAL_BLOCK + 37, 2 * sym.code.n * m)
+    assert_bitwise_equal_to_oracle(sym, h)
+    assert evaluate_lattice_batch(sym, h).flags.c_contiguous
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -223,6 +224,115 @@ def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("OSTBC_LAB_THREADS", "2")
     parallel = ber_to_json(run_ber(cfg))
     assert serial == parallel
+
+
+def test_worker_count_is_capped():
+    # the arithmetic alone, on counts no test could run: no task list is
+    # built and no process is started
+    big = 2 ** 32 - 1
+    assert sim._worker_count(100000, big, big, 2) == 2
+    assert sim._worker_count(100000, big, big, 64) == 64
+    assert sim._worker_count(3, big, big, 64) == 3
+    assert sim._worker_count(8, 1, sim._TASK, 64) == 1
+    assert sim._worker_count(8, 1, 2 * sim._TASK + 1, 64) == 3
+    assert sim._worker_count(8, 2, 1, 64) == 2
+    assert sim._TASK % sim._DRAW == 0
+    assert 1 <= sim._usable_cpus() <= (os.cpu_count() or 1)
+
+
+def test_all_cores_means_usable_cpus(monkeypatch):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 5)
+    monkeypatch.setenv("OSTBC_LAB_THREADS", "0")
+    assert resolve_workers() == 5
+
+
+@pytest.fixture(scope="module")
+def multi_task_sweep():
+    # one g3 m=2 point over three tasks, the last one partial, with some
+    # trials on the per-trial fallback path
+    code = get_code("g3")
+    cfg = SimConfig(code="g3", constellation="16qam", snr_db=(0.0,),
+                    trials=2 * sim._TASK + 1100, seed=47, m=2)
+    assert cfg.trials % sim._TASK
+    ok = _substreams.draw(cfg.seed, 0, np.arange(cfg.trials), 2 * code.n * 2,
+                          code.k, 16, 2 * 2 * code.t)[3]
+    assert not ok.all()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("OSTBC_LAB_THREADS", raising=False)
+        return cfg, ber_to_json(run_ber(cfg))
+
+
+@pytest.mark.parametrize("task", [None, 300], ids=["default-task", "task300"])
+@pytest.mark.parametrize("threads", [None, "1", "2", "3"],
+                         ids=["unset", "1", "2", "3"])
+def test_sweep_independent_of_worker_count(monkeypatch, multi_task_sweep,
+                                           threads, task):
+    # a task size off the decode chunk grid splits chunks across workers;
+    # the CPU count is raised so "3" runs three workers on any host
+    cfg, serial = multi_task_sweep
+    if threads is None:
+        monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OSTBC_LAB_THREADS", threads)
+    if task is not None:
+        assert task % _CHUNK
+        monkeypatch.setattr(sim, "_TASK", task)
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
+    assert ber_to_json(run_ber(cfg)) == serial
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each task when it is
+    submitted and counts the futures submitted but not yet read."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.workers = max_workers
+        self.submitted = 0
+        self.reads = []
+        self.peak_unread = 0
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        index, value = self.submitted, fn(*args)
+        self.submitted += 1
+        self.peak_unread = max(self.peak_unread,
+                               self.submitted - len(self.reads))
+        pool = self
+
+        class Future:
+            def result(self):
+                pool.reads.append(index)
+                return value
+
+        return Future()
+
+
+def test_pool_is_fed_from_a_bounded_window(monkeypatch):
+    cfg = SimConfig(code="g2", constellation="4qam", snr_db=(0.0, 6.0),
+                    trials=1000, seed=12)
+    monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
+    serial = ber_to_json(run_ber(cfg))
+    monkeypatch.setattr(sim, "_TASK", 50)
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "made", [])
+    monkeypatch.setenv("OSTBC_LAB_THREADS", "2")
+    assert ber_to_json(run_ber(cfg)) == serial
+    (pool,) = _InlinePool.made
+    assert pool.workers == 2
+    assert pool.submitted == 2 * 1000 // 50
+    # every future is read, in submission order, with at most two per
+    # worker outstanding
+    assert pool.reads == list(range(pool.submitted))
+    assert pool.peak_unread == 2 * pool.workers
 
 
 # -- serialization -----------------------------------------------------------
