@@ -97,7 +97,7 @@ def cmd_verify(args) -> int:
         spread = max(spread, rep.max_diag_spread_rel)
         mismatch = max(mismatch, rep.sigma_mismatch_rel)
     try:
-        measured = measure_c(code, seed=args.seed)
+        measured = measure_c(code)
     except OrthogonalityError as err:
         print(json.dumps({"schema": SCHEMA, "code": code.id, "pass": False,
                           "reason": str(err)}, sort_keys=True))

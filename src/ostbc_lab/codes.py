@@ -269,35 +269,28 @@ def encode(code: DispersionCode, s) -> np.ndarray:
             + 1j * np.tensordot(s.imag, code.b, axes=(0, 0)))
 
 
-def measure_c(code: DispersionCode, trials: int = 200, seed: int = 0,
-              tol: float = 1e-9) -> int:
-    """Estimate and validate the Gram scale c from random symbol draws.
+# Gram entries are short sums of tag products, exact but for 1/sqrt(2).
+_ORTHO_TOL = 1e-9
 
-    Draws random complex symbol vectors, encodes them, and checks that
-    G^H G equals a scaled identity with a common integer scale.  Raises
-    OrthogonalityError (with the worst deviation in the message) if the
-    design is not orthogonal or the scale is not a positive integer.
+
+def measure_c(code: DispersionCode) -> int:
+    """Read the Gram scale c off the dispersion matrices and check it.
+
+    With C = (A_1..A_K, jB_1..jB_K), G^H G = c ||s||^2 I_N for every s iff
+    C_i^H C_l + C_l^H C_i = 2c delta_il I_N (Tarokh, Jafarkhani & Calderbank,
+    IEEE Trans. IT 1999), a finite exact check.  Raises OrthogonalityError,
+    with the worst deviation, unless that holds for a positive integer c.
     """
-    rng = np.random.default_rng(seed)
-    estimate = None
-    worst = 0.0
-    eye = np.eye(code.n)
-    for _ in range(trials):
-        s = rng.standard_normal(code.k) + 1j * rng.standard_normal(code.k)
-        energy = float(np.sum(np.abs(s) ** 2))
-        gram = encode(code, s).conj().T @ encode(code, s)
-        scale = float(np.trace(gram).real) / (code.n * energy)
-        dev = float(np.max(np.abs(gram - scale * energy * eye))) / energy
-        worst = max(worst, dev)
-        if estimate is None:
-            estimate = scale
-        worst = max(worst, abs(scale - estimate))
-    assert estimate is not None
-    c = round(estimate)
-    if worst > tol or abs(estimate - c) > tol or c < 1:
+    mats = np.concatenate([code.a, 1j * code.b])
+    gram = np.einsum("itn,ltp->ilnp", mats.conj(), mats)
+    sym = gram + gram.transpose(1, 0, 2, 3)
+    c = round(sym[0, 0, 0, 0].real / 2)
+    want = 2 * c * np.eye(2 * code.k)[:, :, None, None] * np.eye(code.n)
+    worst = float(np.max(np.abs(sym - want)))
+    if worst > _ORTHO_TOL or c < 1:
         raise OrthogonalityError(
             f"code {code.id!r} is not a scaled orthogonal design: "
-            f"scale estimate {estimate:.6g}, max deviation {worst:.3e}")
+            f"max deviation {worst:.3e} from integer scale c = {c}")
     return c
 
 

@@ -18,8 +18,9 @@ that need the ziggurat tail, sit on a rounding tie, or draw an all-zero
 channel are redrawn that way.  Each draw block is then transmitted and
 decoded ``_CHUNK`` trials at a time.  The sizes differ because a draw call
 has a fixed cost of some forty NumPy calls, which a larger block spreads
-thinner, while the decode arrays (the exhaustive grid above all) set peak
-memory, which a smaller chunk keeps down.  ``run_trial`` draws its one trial
+thinner, while the chunk bounds Hc (B x 2MT x 2K) and the evaluation and
+matched-filter arrays, which set peak memory (the exhaustive search slices
+its own by ``decoders._SLICE``).  ``run_trial`` draws its one trial
 from the generator it is given and runs the same transmit and decode
 function as the sweep, so a sweep decomposes exactly into per-trial draws.
 
@@ -92,7 +93,7 @@ __all__ = [
 
 SCHEMA = "ostbc-lab/1"
 DECODER_NAMES = ("lattice", "trace", "f", "fprime", "exhaustive")
-# Trials decoded together; bounds the per-chunk arrays of every decoder set.
+# Trials decoded together; bounds Hc and the evaluation and matched-filter arrays.
 _CHUNK = 128
 # Trials drawn together, in larger blocks than the decode chunks (see above).
 _DRAW = 512
@@ -140,6 +141,11 @@ class SimConfig:
             raise ValueError("snr_db must be nonempty")
         if any(math.isnan(s) or s == -math.inf for s in self.snr_db):
             raise ValueError("snr_db values must be finite or +inf")
+        for field in ("trials", "seed", "m"):
+            try:
+                object.__setattr__(self, field, operator.index(getattr(self, field)))
+            except TypeError:
+                raise ValueError(f"{field} must be an integer") from None
         if not 1 <= self.trials < 2 ** 32:
             raise ValueError("trials must be in [1, 2**32)")
         if not 0 <= self.seed < 2 ** 64:

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ostbc_lab.codes import (
     RSQRT2,
@@ -116,6 +118,50 @@ def test_encode_real_linearity(cid):
 @pytest.mark.parametrize("cid,c", [("g2", 1), ("g3", 2), ("g4", 2), ("h3", 1)])
 def test_measure_c(cid, c):
     assert measure_c(get_code(cid)) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(builtin_code_ids()), st.data())
+def test_measure_c_invariant_under_signed_permutations(cid, data):
+    # G(s) -> diag(row_sign) G(s) P diag(col_sign) leaves G^H G, so c, alone
+    code = get_code(cid)
+    signs = lambda size: st.lists(st.sampled_from((1, -1)),
+                                  min_size=size, max_size=size)
+    perm = data.draw(st.permutations(range(code.n)))
+    col_sign, row_sign = data.draw(signs(code.n)), data.draw(signs(code.t))
+
+    def transform(mats):
+        return tuple(tuple(tuple(row_sign[t] * col_sign[l] * mat[t][perm[l]]
+                                 for l in range(code.n))
+                           for t in range(code.t)) for mat in mats)
+
+    twin = replace(code, a_tags=transform(code.a_tags),
+                   b_tags=transform(code.b_tags))
+    assert measure_c(twin) == code.c
+
+
+def test_measure_c_rejects_every_single_sign_flip():
+    flips = 0
+    for cid in builtin_code_ids():
+        code = get_code(cid)
+        for stack in ("a_tags", "b_tags"):
+            tags = np.array(getattr(code, stack))
+            for index in np.argwhere(tags):
+                mats = tags.copy()
+                mats[tuple(index)] *= -1
+                flipped = tuple(tuple(map(tuple, mat)) for mat in mats.tolist())
+                with pytest.raises(OrthogonalityError):
+                    measure_c(replace(code, **{stack: flipped}))
+                flips += 1
+    assert flips == 144  # every nonzero tag of g2, g3, g4 and h3
+
+
+def test_measure_c_rejects_zero_scale():
+    # the all-zero design meets every Gram condition, but with c = 0
+    code = get_code("g2")
+    zero = ((0, 0), (0, 0))
+    with pytest.raises(OrthogonalityError, match="c = 0"):
+        measure_c(replace(code, a_tags=(zero, zero), b_tags=(zero, zero)))
 
 
 @pytest.mark.parametrize("cid", PARAMS)

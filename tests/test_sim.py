@@ -67,7 +67,7 @@ def test_noisy_trial_decoders_agree():
 
 # -- configuration -----------------------------------------------------------
 
-def test_config_normalization():
+def test_config_normalization(monkeypatch):
     cfg = SimConfig(code="g2", constellation="4qam", snr_db=[0, 6],
                     trials=10, seed=1, decoders="all")
     assert cfg.snr_db == (0.0, 6.0)
@@ -75,6 +75,13 @@ def test_config_normalization():
     single = SimConfig(code="g2", constellation="4qam", snr_db=(3,),
                        trials=1, seed=0, decoders="trace")
     assert single.decoders == ("trace",)
+    # NumPy integers are stored as int, so the config serializes
+    monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
+    typed = SimConfig(code="g2", constellation="4qam", snr_db=(0.0,),
+                      trials=np.int64(5), seed=np.uint64(5), m=np.int32(1))
+    assert [type(v) for v in (typed.trials, typed.seed, typed.m)] == [int] * 3
+    doc = json.loads(ber_to_json(run_ber(typed)))
+    assert (doc["config"]["trials"], doc["config"]["seed"]) == (5, 5)
 
 
 @pytest.mark.parametrize("kw", [
@@ -90,6 +97,9 @@ def test_config_normalization():
     {"code": "g5"},
     {"constellation": "8psk"},
     {"snr_db": range(2 ** 32)},
+    {"seed": 1.5},
+    {"trials": 200.0},
+    {"m": 1.5},
 ])
 def test_config_rejects(kw):
     base = dict(code="g2", constellation="4qam", snr_db=(0.0,),
