@@ -22,6 +22,14 @@ no Python loop over trials or normals:
   with Lemire's method on 32-bit halves, low half of a word first:
   ``(u32 * size) >> 32``, never rejecting.
 
+Most rows hold no slow word among their first n_h + ceil(K/2) + n_noise
+words: 87% of g2 rows at M=1, 50% of g3 rows at M=2.  Those words are then, in
+order, the channel normals, the symbol words and the noise normals, so every
+row is first read that way by column slices; the wedge test and the attempt
+parsing run only on the rows with a slow word there, and overwrite them.
+The sign bit is folded into 512-entry tables indexed by a word's low 9 bits:
+``rabs * -wi == -(rabs * wi)`` exactly.
+
 A trial that leaves these paths is marked not ``ok`` and must be redrawn
 with the per-trial generator: a slow word in layer 0 (the tail, whose
 logarithms NumPy takes in C), a wedge comparison within ``_BAND`` of a tie
@@ -145,39 +153,44 @@ def _attempts(slow, emit, undecided, first, n):
     return take, end, bad
 
 
-def _normal(words):
-    """The ziggurat's fast-path value of each word: +-rabs * wi[idx]."""
-    x = _WI[(words & 0xFF).astype(np.intp)]
-    x *= (words >> 9) & _MASK52
-    return np.negative(x, out=x, where=((words >> 8) & 1).astype(bool))
+def _ziggurat(words):
+    """The ziggurat's fast-path value of each word, +-rabs * wi[idx], and
+    whether the word is slow, rabs >= ki[idx]."""
+    # the low 9 bits, layer and sign, are below 2**63: their int64 view is
+    # their value
+    low = np.bitwise_and(words, 0x1FF).view(np.int64)
+    rabs = words >> 9
+    rabs &= _MASK52
+    slow = rabs >= _KI9[low]
+    x = _WI9[low]
+    x *= rabs
+    return x, slow
 
 
-def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
-         n_noise: int):
-    """Unscaled draws of trials `trials` of `point`: (channel normals
-    (B, n_h), symbol indices (B, k), noise normals (B, n_noise), ok (B,)).
+def _symbols(w, size):
+    """integers(0, size, k) from the word that holds each symbol (B, k):
+    Lemire on 32-bit halves, low half first."""
+    odd = np.arange(w.shape[1]) % 2 == 1
+    half = np.where(odd, w >> 32, w & _LO32)
+    return ((half * np.uint64(size)) >> 32).astype(np.intp)
 
-    Rows not ``ok`` hold arbitrary values and must be redrawn per trial.
-    `size` must be a power of two below 2**32.
-    """
-    if size < 1 or size & (size - 1) or size >= 2 ** 32:
-        raise ValueError("size must be a power of two below 2**32")
-    trials = np.asarray(trials, dtype=np.uint64)
-    sym_words = (k + 1) // 2
-    need = n_h + sym_words + n_noise + _SLACK
-    words = philox_words(seed, np.uint64(point << 32) | trials, -(-need // 4))
+
+def _parse(words, n_h, k, size, n_noise):
+    """Draws of rows whose words may hold slow normals: (channel normals,
+    symbol indices, noise normals, ok), ok False where a row leaves the
+    paths reproduced here."""
     b, width = words.shape
-
-    slow = ((words >> 9) & _MASK52) >= _KI[(words & 0xFF).astype(np.intp)]
+    sym_words = (k + 1) // 2
+    x, slow = _ziggurat(words)
     # A slow word is a wedge attempt with the next word as its uniform.
     emit = ~slow
     undecided = np.zeros_like(slow)
     r, c = np.nonzero(slow)
     layer = (words[r, c] & 0xFF).astype(np.intp)
-    x = _normal(words[r, c])
     u = (words[r, np.minimum(c + 1, width - 1)] >> 11) * 2.0 ** -53
     lhs = (_FI[layer - 1] - _FI[layer]) * u + _FI[layer]
-    rhs = np.exp(-0.5 * x * x)
+    xw = x[r, c]
+    rhs = np.exp(-0.5 * xw * xw)
     emit[r, c] = lhs < rhs
     undecided[r, c] = ((layer == 0) | (c + 1 == width)
                        | (np.abs(lhs - rhs) <= _BAND * rhs))
@@ -188,17 +201,46 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
     take, end_h, bad_h = _attempts(slow[:, head], emit[:, head],
                                    undecided[:, head],
                                    np.zeros(b, dtype=np.intp), n_h)
-    h = _normal(words[:, head][take].reshape(b, n_h))
+    h = x[:, head][take].reshape(b, n_h)
     take, _, bad_n = _attempts(slow, emit, undecided, end_h + sym_words,
                                n_noise)
-    noise = _normal(words[take].reshape(b, n_noise))
-    # integers(0, size, k): Lemire on 32-bit halves, low half first
-    pos = np.arange(k)
-    w = words[np.arange(b)[:, None],
-              np.minimum(end_h[:, None] + pos // 2, width - 1)]
-    half = np.where(pos % 2 == 1, w >> 32, w & _LO32)
-    sym = ((half * np.uint64(size)) >> 32).astype(np.intp)
-    return h, sym, noise, ~(bad_h | bad_n) & h.any(axis=1)
+    noise = x[take].reshape(b, n_noise)
+    cols = np.minimum(end_h[:, None] + np.arange(k) // 2, width - 1)
+    sym = _symbols(np.take_along_axis(words, cols, axis=1), size)
+    return h, sym, noise, ~(bad_h | bad_n)
+
+
+def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
+         n_noise: int):
+    """Unscaled draws of trials `trials` of `point`: (channel normals
+    (B, n_h), symbol indices (B, k), noise normals (B, n_noise), ok (B,)).
+
+    Rows not ``ok`` hold arbitrary values and must be redrawn per trial.
+    `size` must be a power of two below 2**32.
+
+    A row whose first n_h + ceil(k/2) + n_noise words are all fast is read
+    straight from those columns: channel normals, symbol words, noise
+    normals.  Only the rows with a slow word among them are parsed word by
+    word, and their draws overwrite the sliced ones.
+    """
+    if size < 1 or size & (size - 1) or size >= 2 ** 32:
+        raise ValueError("size must be a power of two below 2**32")
+    trials = np.asarray(trials, dtype=np.uint64)
+    sym_words = (k + 1) // 2
+    lead = n_h + sym_words + n_noise
+    words = philox_words(seed, np.uint64(point << 32) | trials,
+                         -(-(lead + _SLACK) // 4))
+    x, slow = _ziggurat(words[:, :lead])
+    h, noise = x[:, :n_h], x[:, n_h + sym_words:]
+    sym = _symbols(words[:, n_h + np.arange(k) // 2], size)
+    ok = np.ones(len(trials), dtype=bool)
+    slow_rows = np.flatnonzero(slow.any(axis=1))
+    if slow_rows.size:
+        # keep only the parsed rows' words, which lowers the peak memory
+        words = words[slow_rows]
+        h[slow_rows], sym[slow_rows], noise[slow_rows], ok[slow_rows] = \
+            _parse(words, n_h, k, size, n_noise)
+    return h, sym, noise, ok & h.any(axis=1)
 
 
 # NumPy's ziggurat tables wi_double and ki_double
@@ -362,3 +404,7 @@ _KI = np.array("""
 # an ulp of NumPy's fi_double; _BAND absorbs the difference.
 _FI = np.exp(-0.5 * (_WI * 2.0 ** 52) ** 2)
 _FI[0] = 1.0
+# The tables indexed by a word's low 9 bits, the layer and the sign bit
+# above it: -(rabs * wi) == rabs * -wi exactly, so the sign is in the table.
+_WI9 = np.concatenate((_WI, -_WI))
+_KI9 = np.tile(_KI, 2)

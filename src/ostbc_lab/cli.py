@@ -78,6 +78,12 @@ def cmd_codes(args) -> int:
     return 0
 
 
+def _verify_failure(code, reason: str) -> int:
+    print(json.dumps({"schema": SCHEMA, "code": code.id, "pass": False,
+                      "reason": reason}, sort_keys=True))
+    return 1
+
+
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
@@ -86,6 +92,16 @@ def cmd_verify(args) -> int:
     if not 0 <= args.seed < 2 ** 64:
         raise ValueError("--seed must fit in 64 bits")
     code = _resolve_code(args)
+    # c is checked on the dispersion matrices before any channel is drawn:
+    # a wrong declared c would otherwise surface only as disagreeing sigmas
+    try:
+        measured = measure_c(code)
+    except OrthogonalityError as err:
+        return _verify_failure(code, str(err))
+    if measured != code.c:
+        return _verify_failure(
+            code, f"code {code.id!r} declares c = {code.c} but its "
+                  f"dispersion matrices give c = {measured}")
     rng = _trial_rng(args.seed, 0, 0)
     ok = True
     offdiag = spread = mismatch = 0.0
@@ -96,12 +112,6 @@ def cmd_verify(args) -> int:
         offdiag = max(offdiag, rep.max_offdiag_rel)
         spread = max(spread, rep.max_diag_spread_rel)
         mismatch = max(mismatch, rep.sigma_mismatch_rel)
-    try:
-        measured = measure_c(code)
-    except OrthogonalityError as err:
-        print(json.dumps({"schema": SCHEMA, "code": code.id, "pass": False,
-                          "reason": str(err)}, sort_keys=True))
-        return 1
     doc = {
         "schema": SCHEMA,
         "code": code.id,
@@ -251,3 +261,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

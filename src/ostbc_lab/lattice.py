@@ -30,7 +30,7 @@ This module alone owns that layout and sigma: ``interleave`` / ``deinterleave``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,8 +66,6 @@ __all__ = [
 Term = tuple[int, int]
 # exact lattice entry: sum of terms, ascending channel index, empty == zero
 LinForm = tuple[Term, ...]
-# Trials per pass of `evaluate_lattice_batch`; bounds its working arrays.
-_EVAL_BLOCK = 256
 
 
 def h_index(l: int, j: int, imag: bool, n: int) -> int:
@@ -159,6 +157,34 @@ class SymbolicLattice:
         """
         return _scatter_arrays(self)
 
+    @cached_property
+    def _ranked_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The scatter terms split by rank within their entry: element r
+        holds (h index, coefficient) of every entry's (r+1)-th term, each of
+        shape (entries,) in row-major entry order.  An entry with no term at
+        rank r points at the zero column that ``evaluate_lattice_batch``
+        appends to h (index 2NM), with coefficient 0.0, so each rank is one
+        gather-multiply and adding rank by rank adds an entry's terms in the
+        stored order.  Cached on the instance: a cache keyed by the lattice
+        would hash its nested entries on every evaluation."""
+        pos, hidx, coef = _scatter_arrays(self)
+        # an entry's terms are adjacent: rank = index - index of its first
+        # term
+        i = np.arange(pos.size)
+        first = np.r_[True, pos[1:] != pos[:-1]]
+        rank = i - np.maximum.accumulate(np.where(first, i, 0))
+        entries, zero_col = self.rows * self.cols, 2 * self.code.n * self.m
+        out = []
+        for r in range(int(rank.max(initial=0)) + 1):
+            idx = np.full(entries, zero_col, dtype=np.intp)
+            val = np.zeros(entries)
+            at = rank == r
+            idx[pos[at]], val[pos[at]] = hidx[at], coef[at]
+            idx.setflags(write=False)
+            val.setflags(write=False)
+            out.append((idx, val))
+        return tuple(out)
+
 
 @lru_cache(maxsize=None)
 def _scatter_arrays(sym: SymbolicLattice):
@@ -174,26 +200,6 @@ def _scatter_arrays(sym: SymbolicLattice):
            np.asarray(coef))
     for arr in out:
         arr.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _ranked_terms(sym: SymbolicLattice):
-    """The scatter terms split by rank within their entry: element r holds
-    (positions, h indices, coefficients) of every entry's (r+1)-th term, in
-    stored order.  Positions are distinct within a rank, so each rank is one
-    gather-multiply-add, and adding rank by rank adds an entry's terms in
-    the stored order."""
-    pos, hidx, coef = _scatter_arrays(sym)
-    # an entry's terms are adjacent: rank = index - index of its first term
-    i = np.arange(pos.size)
-    first = np.r_[True, pos[1:] != pos[:-1]]
-    rank = i - np.maximum.accumulate(np.where(first, i, 0))
-    out = tuple(tuple(a[rank == r] for a in (pos, hidx, coef))
-                for r in range(int(rank.max(initial=-1)) + 1))
-    for arrays in out:
-        for arr in arrays:
-            arr.setflags(write=False)
     return out
 
 
@@ -258,26 +264,26 @@ def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     """Numeric H_check for a batch of coefficient vectors (B, 2NM) -> (B, 2MT, 2K).
 
     Each entry is 0.0 plus its terms in stored order, bit for bit (-0.0
-    included) what ``np.add.at`` over ``sym.scatter()`` gives.  The sums
-    run entry-major, on an (entries, B) buffer and a contiguous h.T, so each
-    gather and add moves whole rows instead of striding across the batch.
-    Batches above `_EVAL_BLOCK` are evaluated in slices of that many trials
-    and concatenated, so the buffer and the gather temporaries stay small.
+    included) what ``np.add.at`` over ``sym.scatter()`` gives.  Every rank
+    of terms is one contiguous gather of h's columns (with a zero column
+    appended for entries that have no term at that rank) times a per-entry
+    coefficient, added into a (B, entries) array that is already the
+    C-contiguous result.  Adding the padding's 0.0 leaves a sum unchanged:
+    a sum that starts at +0.0 is never -0.0.
     """
-    if h.shape[0] > _EVAL_BLOCK:
-        return np.concatenate([
-            evaluate_lattice_batch(sym, h[lo:lo + _EVAL_BLOCK])
-            for lo in range(0, h.shape[0], _EVAL_BLOCK)])
-    ht = np.ascontiguousarray(h.T)
-    flat = np.zeros((sym.rows * sym.cols, h.shape[0]))
-    for pos, hidx, coef in _ranked_terms(sym):
-        flat[pos] += coef[:, None] * ht[hidx]
-    # the result is allocated after the buffer: allocated first, it left the
-    # freed buffer at the top of the heap, where glibc trimmed it and the
-    # next call paid page faults to get it back (several-fold the faults per
-    # g3 m=2 sweep)
-    return np.ascontiguousarray(flat.T).reshape(h.shape[0], sym.rows,
-                                                sym.cols)
+    b, width = h.shape
+    ext = np.empty((b, width + 1))
+    ext[:, :width] = h
+    ext[:, width] = 0.0
+    (idx, coef), *rest = sym._ranked_terms
+    out = np.take(ext, idx, axis=1)
+    out *= coef
+    out += 0.0
+    for idx, coef in rest:
+        term = np.take(ext, idx, axis=1)
+        term *= coef
+        out += term
+    return out.reshape(b, sym.rows, sym.cols)
 
 
 @dataclass(frozen=True)

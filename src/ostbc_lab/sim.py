@@ -16,13 +16,17 @@ ziggurat's fast and wedge paths, Lemire symbol indices), bit for bit equal to
 drawing each trial from its own ``Generator(Philox(key))``; the few trials
 that need the ziggurat tail, sit on a rounding tie, or draw an all-zero
 channel are redrawn that way.  Each draw block is then transmitted and
-decoded ``_CHUNK`` trials at a time.  The sizes differ because a draw call
-has a fixed cost of some forty NumPy calls, which a larger block spreads
-thinner, while the chunk bounds Hc (B x 2MT x 2K) and the evaluation and
-matched-filter arrays, which set peak memory (the exhaustive search slices
-its own by ``decoders._SLICE``).  ``run_trial`` draws its one trial
-from the generator it is given and runs the same transmit and decode
-function as the sweep, so a sweep decomposes exactly into per-trial draws.
+decoded by one call: Hc, the transmit product, the matched filters and the
+exhaustive search run ``_CHUNK`` trials at a time, since Hc (B x 2MT x 2K)
+and the evaluation and matched-filter arrays set peak memory (the
+exhaustive search slices its own by ``decoders._SLICE``); the symbol to
+component mapping, sigma, the scaling and quantization, the agreement check
+and the error count run once per draw block, on small (B, 2K) arrays, so
+their fixed cost per NumPy call is spread over the whole block.  The error
+count compares integer component indices.  ``run_trial`` draws its one
+trial from the generator it is given and runs the same transmit and decode
+function as the sweep, a batch of one, so a sweep decomposes exactly into
+per-trial draws.
 
 Workers: a sweep is cut into (point, block) tasks of ``_TASK`` trials, a
 whole number of draw blocks, the last task of each point clipped.  A task
@@ -71,7 +75,6 @@ from .lattice import (
     ChannelRealization,
     build_symbolic_lattice,
     channel_sigma,
-    deinterleave,
     evaluate_lattice_batch,
     interleave,
 )
@@ -93,9 +96,11 @@ __all__ = [
 
 SCHEMA = "ostbc-lab/1"
 DECODER_NAMES = ("lattice", "trace", "f", "fprime", "exhaustive")
-# Trials decoded together; bounds Hc and the evaluation and matched-filter arrays.
+# Trials per Hc evaluation, transmit product and matched filter; bounds
+# those arrays.
 _CHUNK = 128
-# Trials drawn together, in larger blocks than the decode chunks (see above).
+# Trials drawn, quantized and counted together, in larger blocks than the
+# decode chunks (see above).
 _DRAW = 512
 # Trials per (point, block) task, the unit of work a pool worker takes: a
 # whole number of draw blocks (see above).
@@ -245,25 +250,38 @@ def _draw_chunk(code, m, size, scale, seed, point, trials):
 def _run_batch(code, const, m, h, sent, noise, decoders):
     """Transmit and decode one trial per row of the drawn (h, sent, noise).
 
+    Hc, the transmit product, the matched filters and the exhaustive search
+    run `_CHUNK` rows at a time; the component mapping, sigma, the scaling
+    and quantization and the agreement check run once on the whole batch.
     Returns (sent component indices (B, 2K), decoded indices (B, 2K) per
     decoder name, per-trial agreement of every decoder with the first (B,)).
     """
+    lat = build_symbolic_lattice(code, m)
     # symbol index = Re component index * levels + Im component index
     comp = interleave(*np.divmod(sent, const.levels))
     x = const.component_alphabet[comp]
-    hc = evaluate_lattice_batch(build_symbolic_lattice(code, m), h)
-    sigma = channel_sigma(code, h)
-    yv = np.einsum("bpj,bj->bp", hc, x) + noise
-    decoded = {}
-    for name in decoders:
-        if name == "exhaustive":
-            decoded[name] = exhaustive_indices(hc, yv, const)[0]
-        else:
-            z = MATCHED_FILTERS[name](code, h, hc, yv) / sigma[:, None]
+    # matched-filter outputs, replaced by their decisions after the chunks
+    decoded = {name: np.empty(comp.shape, dtype=np.intp
+                              if name == "exhaustive" else float)
+               for name in decoders}
+    for lo in range(0, len(h), _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        hc = evaluate_lattice_batch(lat, h[rows])
+        yv = np.einsum("bpj,bj->bp", hc, x[rows]) + noise[rows]
+        for name, out in decoded.items():
+            if name == "exhaustive":
+                out[rows] = exhaustive_indices(hc, yv, const)[0]
+            else:
+                out[rows] = MATCHED_FILTERS[name](code, h[rows], hc, yv)
+    sigma = channel_sigma(code, h)[:, None]
+    for name, z in decoded.items():
+        if name != "exhaustive":
+            z /= sigma
             decoded[name] = quantize_indices(z, const.component_alphabet)
     first = decoded[decoders[0]]
-    agree = np.all([np.all(d == first, axis=1) for d in decoded.values()],
-                   axis=0)
+    agree = np.ones(len(h), dtype=bool)
+    for idx in decoded.values():
+        agree &= np.all(idx == first, axis=1)
     return comp, decoded, agree
 
 
@@ -291,17 +309,18 @@ def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
 
 
 def _count_errors(sent_comp, dec_comp, gray):
-    """Symbol and bit error totals for (..., 2K) component index arrays."""
-    # a symbol is wrong when its (Re, Im) index pair is
-    sym_err = int(np.sum(deinterleave(sent_comp) != deinterleave(dec_comp)))
+    """Symbol and bit error totals for (B, 2K) component index arrays."""
+    # a symbol is wrong when its Re or its Im component index is
+    wrong = sent_comp != dec_comp
+    sym_err = np.count_nonzero(wrong[:, 0::2] | wrong[:, 1::2])
     bits = np.bitwise_count(gray[sent_comp] ^ gray[dec_comp])
-    return sym_err, int(np.sum(bits))
+    return int(sym_err), int(np.sum(bits))
 
 
 def _simulate_block(config: SimConfig, point: int, start: int,
                     stop: int) -> tuple[int, int, int, int]:
-    """Sweep trials [start, stop) of one SNR point: draw `_DRAW` trials at a
-    time and decode them `_CHUNK` at a time, running every selected decoder.
+    """Sweep trials [start, stop) of one SNR point `_DRAW` trials at a
+    time, running every selected decoder on each draw block.
 
     Returns the counters (symbol errors, bit errors, redraws,
     disagreements), which add up over the blocks of a point.
@@ -314,17 +333,13 @@ def _simulate_block(config: SimConfig, point: int, start: int,
         trials = np.arange(lo, min(lo + _DRAW, stop))
         h, sym, noise, r = _draw_chunk(code, config.m, const.size, scale,
                                        config.seed, point, trials)
+        comp, decoded, agree = _run_batch(code, const, config.m, h, sym,
+                                          noise, config.decoders)
+        se, be = _count_errors(comp, decoded[config.decoders[0]], const.gray)
+        sym_errors += se
+        bit_errors += be
         redraws += r
-        for c in range(0, trials.size, _CHUNK):
-            rows = slice(c, c + _CHUNK)
-            comp, decoded, agree = _run_batch(code, const, config.m, h[rows],
-                                              sym[rows], noise[rows],
-                                              config.decoders)
-            se, be = _count_errors(comp, decoded[config.decoders[0]],
-                                   const.gray)
-            sym_errors += se
-            bit_errors += be
-            disagreements += int(np.sum(~agree))
+        disagreements += int(np.count_nonzero(~agree))
     return sym_errors, bit_errors, redraws, disagreements
 
 

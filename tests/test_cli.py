@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ostbc_lab
 
 from ostbc_lab.cli import main, table_csv
 from ostbc_lab.codes import format_code_text, get_code
@@ -102,6 +108,40 @@ def test_verify_corrupted_file_fails(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "--file", str(path), "--trials", "20")
     assert rc == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_verify_file_with_wrong_declared_c_fails(capsys, tmp_path):
+    # a g2 file that declares c = 2: the dispersion matrices give c = 1
+    text = format_code_text(get_code("g2")).replace(" c=1", " c=2", 1)
+    assert " c=2" in text
+    path = tmp_path / "g2c2.code"
+    path.write_text(text)
+    rc, out, err = run(capsys, "verify", "--file", str(path), "--trials", "5")
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert "c = 2" in doc["reason"] and "c = 1" in doc["reason"]
+    assert "invariant failure" not in err
+
+
+def run_module(module, *argv):
+    env = dict(os.environ)
+    src = str(Path(ostbc_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["ostbc_lab", "ostbc_lab.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = run_module(module, "verify", "--code", "g2", "--trials", "3")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["pass"] is True
+    proc = run_module(module, "verify", "--m", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--m" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ostbc_lab import lattice
 from ostbc_lab.codes import DispersionCode, builtin_code_ids, encode, get_code
 from ostbc_lab.lattice import (
     ChannelRealization,
@@ -309,13 +308,36 @@ def test_batch_evaluation_bitwise_equals_add_at(cid, m):
 
 @pytest.mark.parametrize("cid,m", [("g3", 2), ("h3", 1)])
 def test_batch_evaluation_bitwise_across_passes(cid, m):
-    # a batch of several evaluation passes, the last one partial, comes
-    # back bitwise equal and in the C layout the transmit einsum reads
+    # a batch of 2 x 256 + 37 trials (several passes of the former
+    # 256-trial evaluation block, the last one partial) comes back bitwise
+    # equal and in the C layout the transmit einsum reads
     sym = build_symbolic_lattice(get_code(cid), m)
-    h = signed_zero_batch(np.random.default_rng(31),
-                          2 * lattice._EVAL_BLOCK + 37, 2 * sym.code.n * m)
+    h = signed_zero_batch(np.random.default_rng(31), 2 * 256 + 37,
+                          2 * sym.code.n * m)
     assert_bitwise_equal_to_oracle(sym, h)
     assert evaluate_lattice_batch(sym, h).flags.c_contiguous
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("cid,m", [("g2", 1), ("g3", 2), ("h3", 1)])
+def test_batch_evaluation_isolates_nonfinite_column(cid, m, bad):
+    # an entry is built only from the h columns it references: one
+    # non-finite column leaves every other entry bitwise equal to the
+    # oracle, which a padding term such as 0 * h[0] would not
+    sym = build_symbolic_lattice(get_code(cid), m)
+    width = 2 * sym.code.n * m
+    pos, hidx, _ = sym.scatter()
+    for col in range(width):
+        h = signed_zero_batch(np.random.default_rng(col), 8, width)
+        h[:, col] = bad
+        got = evaluate_lattice_batch(sym, h).reshape(8, -1)
+        want = add_at_oracle(sym, h).reshape(8, -1)
+        clean = np.setdiff1d(np.arange(sym.rows * sym.cols),
+                             pos[hidx == col])
+        assert clean.size
+        assert np.array_equal(got[:, clean].view(np.uint64),
+                              want[:, clean].view(np.uint64))
+        assert not np.isfinite(got[:, pos[hidx == col]]).any()
 
 
 @settings(max_examples=40, deadline=None)

@@ -177,6 +177,22 @@ def test_sweep_independent_of_draw_block(monkeypatch, draw):
     assert ber_to_json(run_ber(cfg)) == default
 
 
+@pytest.mark.parametrize("chunk", [1, 37, sim._DRAW])
+@pytest.mark.parametrize("cfg", [
+    SimConfig(code="g3", constellation="16qam", snr_db=(0.0,), trials=1100,
+              seed=31, m=2),
+    SimConfig(code="g2", constellation="4qam", snr_db=(0.0, 6.0), trials=300,
+              seed=2024, decoders=("all",)),
+], ids=["g3m2-lattice", "g2-all"])
+def test_sweep_independent_of_decode_chunk(monkeypatch, cfg, chunk):
+    # the decode chunk bounds memory only: Hc, the transmit product and the
+    # matched filters run per chunk, everything else per draw block
+    monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
+    default = ber_to_json(run_ber(cfg))
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    assert ber_to_json(run_ber(cfg)) == default
+
+
 def test_noise_free_sweep_is_error_free(monkeypatch):
     monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
     cfg = SimConfig(code="g3", constellation="16qam", snr_db=(math.inf,),

@@ -125,6 +125,43 @@ def test_chunk_draws_equal_per_trial_generator(cid, m, mod, snr):
         np.testing.assert_array_equal(noise[i], want[2])
 
 
+def words_consumed(rng):
+    """Raw words a Philox generator has handed out so far."""
+    state = rng.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+
+
+@pytest.mark.parametrize("slow", [False, True], ids=["no-slow", "all-slow"])
+@pytest.mark.parametrize("cid,m", CODES_M)
+def test_blocks_of_one_path_equal_per_trial_generator(cid, m, slow):
+    # a block whose rows are all sliced, and one whose rows are all parsed:
+    # a trial holds a slow word among its leading words iff the generator
+    # takes more than n_h + ceil(K/2) + n_noise words for its draws
+    code, size = get_code(cid), 16
+    n_h, n_noise = 2 * code.n * m, 2 * m * code.t
+    lead = n_h + (code.k + 1) // 2 + n_noise
+    trials, want = [], []
+    for t in range(2000):
+        rng = _trial_rng(SEED, 0, t)
+        draws = (rng.standard_normal(n_h), rng.integers(0, size, code.k),
+                 rng.standard_normal(n_noise))
+        if (words_consumed(rng) > lead) == slow:
+            trials.append(t)
+            want.append(draws)
+        if len(trials) == 48:
+            break
+    assert len(trials) == 48
+    h, sym, noise, ok = _substreams.draw(SEED, 0, trials, n_h, code.k, size,
+                                         n_noise)
+    # every trial without a slow word is ok; of the others, only tails,
+    # near-ties and overlong runs fall back
+    assert ok.all() if not slow else ok.mean() > 0.5
+    for i in np.flatnonzero(ok):
+        np.testing.assert_array_equal(h[i], want[i][0])
+        np.testing.assert_array_equal(sym[i], want[i][1])
+        np.testing.assert_array_equal(noise[i], want[i][2])
+
+
 def test_draw_rejects_sizes_off_the_lemire_path():
     with pytest.raises(ValueError):
         _substreams.draw(0, 0, np.arange(4), 4, 2, 9, 8)
