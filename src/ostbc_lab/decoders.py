@@ -22,7 +22,12 @@ independent scalar quantizations of the matched-filter output
 All four agree up to rounding, and dividing by sigma and quantizing per
 component gives the decision.  ``exhaustive_indices`` is the brute-force
 reference that minimizes ||ycheck - Hc x||^2 over the full candidate grid
-without using orthogonality, batched over the same leading axes.
+without using orthogonality, batched over the same leading axes.  It
+expands the distance into the quadratic form x^T G x - 2 r^T x, with the
+Gram matrix G = Hc^T Hc and r = Hc^T ycheck computed for every trial, never
+assumed to be sigma I.  Splitting x into halves u and v turns the metric of
+every candidate into one small product per trial of per-half terms, and
+``_SLICE`` bounds how many (trial, candidate) metrics exist at once.
 ``decode_lattice``, ``decode_trace``, ``decode_F``, ``decode_Fprime`` and
 ``exhaustive_ml`` are their one-trial forms.
 """
@@ -55,8 +60,8 @@ __all__ = [
 ]
 
 MAX_SEARCH_SPACE = 2 ** 24
-# (Hc row x candidate) products per exhaustive slice; bounds the search's
-# memory.
+# (trial x candidate) metric entries per exhaustive slice, one trial at
+# least; the search's only memory bound.
 _SLICE = 2 ** 13
 
 
@@ -199,31 +204,59 @@ def decode_Fprime(code: DispersionCode, channel, zprime,
 
 
 @lru_cache(maxsize=32)
-def _candidate_grid(alphabet: tuple[float, ...], dims: int) -> np.ndarray:
-    """All candidate x vectors, shape (dims, L**dims), lexicographic order.
+def _half_grid(alphabet: tuple[float, ...],
+               dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates of one half of x and their quadratic-form features.
 
-    Column j enumerates component indices with the first dimension most
-    significant, matching itertools.product over the alphabet.
+    Returns (grid, features): grid is (dims, L**dims), every candidate in
+    lexicographic order (column j enumerates component indices with the
+    first dimension most significant, matching itertools.product over the
+    alphabet); features is (dims**2 + dims, L**dims), rows vec(w w^T) then
+    -2 w of each candidate w, so that [vec(G_ww), r_w] @ features is
+    w^T G_ww w - 2 r_w^T w for every candidate at once.
     """
     n = len(alphabet)
     total = n ** dims
     grid = np.empty((dims, total))
     alpha = np.asarray(alphabet)
     for d in range(dims):
-        reps = n ** (dims - d - 1)
-        tile = n ** d
-        grid[d] = np.tile(np.repeat(alpha, reps), tile)
-    return grid
+        grid[d] = np.tile(np.repeat(alpha, n ** (dims - d - 1)), n ** d)
+    outer = (grid[:, None] * grid[None]).reshape(dims * dims, total)
+    features = np.concatenate([outer, -2.0 * grid])
+    for arr in (grid, features):
+        arr.setflags(write=False)
+    return grid, features
+
+
+def _half_metric(gram: np.ndarray, r: np.ndarray,
+                 features: np.ndarray) -> np.ndarray:
+    """w^T G_ww w - 2 r_w^T w (B, L**dims) of every candidate of one half,
+    from its Gram block (B, dims, dims) and correlation (B, dims)."""
+    b, dims = r.shape
+    coef = np.concatenate([gram.reshape(b, dims * dims), r], axis=1)
+    return coef @ features
 
 
 def exhaustive_indices(hc: np.ndarray, yv: np.ndarray,
                        constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force ML: argmin_x ||ycheck - Hc x||^2 over the full grid.
 
-    hc is (..., 2MT, 2K) and yv (..., 2MT).  No orthogonality shortcut is
-    taken; this is the reference the matched filters are checked against.
-    Ties resolve to the lexicographically first candidate (component indices
-    enumerated most-significant-first).
+    hc is (..., 2MT, 2K) and yv (..., 2MT).  Each trial's metric is the
+    expanded form x^T G x - 2 r^T x with G = Hc^T Hc and r = Hc^T ycheck,
+    both computed from Hc: no orthogonality shortcut is taken, and this is
+    the reference the matched filters are checked against.  x splits into u,
+    its first 2K // 2 components, and v, the rest, so the metric of
+    candidate (u_a, v_c) is
+
+        q_u[a] + q_v[c] + 2 u_a^T G_uv v_c,   q_u = u^T G_uu u - 2 r_u^T u
+
+    (q_v alike).  Stacking [2 G_vu u_a; q_u[a]; 1] against [v_c; 1; q_v[c]]
+    makes the whole grid one small product per trial.  Candidate (a, c) has
+    flat index a * L**len(v) + c, the lexicographic order, so ties resolve
+    to the lexicographically first candidate (component indices enumerated
+    most-significant-first).  Trials are searched in slices of
+    max(1, _SLICE // candidates), which bounds the (trials x candidates)
+    metric array to max(_SLICE, candidates) entries.
 
     Returns
     -------
@@ -237,20 +270,37 @@ def exhaustive_indices(hc: np.ndarray, yv: np.ndarray,
     if levels ** dims > MAX_SEARCH_SPACE:
         raise SearchSpaceError(
             f"{levels}**{dims} candidates exceed {MAX_SEARCH_SPACE}")
-    grid = _candidate_grid(tuple(constellation.component_alphabet), dims)
+    alphabet = tuple(constellation.component_alphabet)
+    du = dims // 2
+    dv = dims - du
+    ugrid, ufeatures = _half_grid(alphabet, du)
+    vgrid, vfeatures = _half_grid(alphabet, dv)
+    nu, nv = ugrid.shape[1], vgrid.shape[1]
     lead = hc.shape[:-2]
     hc = hc.reshape(-1, rows, dims)
-    yv = np.asarray(yv, dtype=float).reshape(-1, rows)
-    best = np.empty(len(hc), dtype=np.intp)
-    metric = np.empty(len(hc))
-    step = max(1, _SLICE // (rows * grid.shape[1]))
-    for s in range(0, len(hc), step):
-        hx = hc[s:s + step] @ grid
-        met = np.sum(hx * hx, axis=1) \
-            - 2.0 * np.einsum("bp,bpc->bc", yv[s:s + step], hx)
-        best[s:s + step] = np.argmin(met, axis=1)
-        metric[s:s + step] = np.take_along_axis(
-            met, best[s:s + step, None], axis=1)[:, 0]
+    b = len(hc)
+    yv = np.asarray(yv, dtype=float).reshape(b, rows)
+    # [G | r] = Hc^T [Hc | ycheck]
+    gr = hc.transpose(0, 2, 1) @ np.concatenate([hc, yv[:, :, None]], axis=2)
+    g, r = gr[:, :, :dims], gr[:, :, dims]
+    left = np.empty((b, dv + 2, nu))
+    left[:, :dv] = ((2.0 * g[:, du:, :du]).reshape(b * dv, du)
+                    @ ugrid).reshape(b, dv, nu)
+    left[:, dv] = _half_metric(g[:, :du, :du], r[:, :du], ufeatures)
+    left[:, dv + 1] = 1.0
+    right = np.empty((b, dv + 2, nv))
+    right[:, :dv] = vgrid
+    right[:, dv] = 1.0
+    right[:, dv + 1] = _half_metric(g[:, du:, du:], r[:, du:], vfeatures)
+    left = left.transpose(0, 2, 1)
+    best = np.empty(b, dtype=np.intp)
+    metric = np.empty(b)
+    step = max(1, _SLICE // (nu * nv))
+    for s in range(0, b, step):
+        met = (left[s:s + step] @ right[s:s + step]).reshape(-1, nu * nv)
+        win = np.argmin(met, axis=1)
+        best[s:s + step] = win
+        metric[s:s + step] = met[np.arange(len(win)), win]
     idx = np.stack(np.unravel_index(best, (levels,) * dims), axis=-1)
     return idx.reshape(lead + (dims,)), metric.reshape(lead)
 

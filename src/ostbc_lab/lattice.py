@@ -158,31 +158,33 @@ class SymbolicLattice:
         return _scatter_arrays(self)
 
     @cached_property
-    def _ranked_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The scatter terms split by rank within their entry: element r
-        holds (h index, coefficient) of every entry's (r+1)-th term, each of
-        shape (entries,) in row-major entry order.  An entry with no term at
-        rank r points at the zero column that ``evaluate_lattice_batch``
-        appends to h (index 2NM), with coefficient 0.0, so each rank is one
-        gather-multiply and adding rank by rank adds an entry's terms in the
-        stored order.  Cached on the instance: a cache keyed by the lattice
-        would hash its nested entries on every evaluation."""
+    def _ranked_terms(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The scatter terms split by rank within their entry, in row-major
+        entry order.  Element 0 is (h index, coefficient) of every entry's
+        first term, each of shape (entries,): an entry with no term points
+        at the zero column that ``evaluate_lattice_batch`` appends to h
+        (index 2NM), with coefficient 0.0, so rank 0 is one gather-multiply
+        over the whole matrix.  Element r >= 1 is (entry, h index,
+        coefficient) of the (r+1)-th terms only, one per entry that has
+        one.  Adding rank by rank adds an entry's terms in the stored order.
+        Cached on the instance: a cache keyed by the lattice would hash its
+        nested entries on every evaluation."""
         pos, hidx, coef = _scatter_arrays(self)
         # an entry's terms are adjacent: rank = index - index of its first
         # term
         i = np.arange(pos.size)
         first = np.r_[True, pos[1:] != pos[:-1]]
         rank = i - np.maximum.accumulate(np.where(first, i, 0))
-        entries, zero_col = self.rows * self.cols, 2 * self.code.n * self.m
-        out = []
-        for r in range(int(rank.max(initial=0)) + 1):
-            idx = np.full(entries, zero_col, dtype=np.intp)
-            val = np.zeros(entries)
+        idx = np.full(self.rows * self.cols, 2 * self.code.n * self.m,
+                      dtype=np.intp)
+        val = np.zeros(idx.size)
+        idx[pos[first]], val[pos[first]] = hidx[first], coef[first]
+        out = [(idx, val)]
+        for r in range(1, int(rank.max(initial=0)) + 1):
             at = rank == r
-            idx[pos[at]], val[pos[at]] = hidx[at], coef[at]
-            idx.setflags(write=False)
-            val.setflags(write=False)
-            out.append((idx, val))
+            out.append((pos[at], hidx[at], coef[at]))
+        for arr in (a for terms in out for a in terms):
+            arr.setflags(write=False)
         return tuple(out)
 
 
@@ -264,12 +266,13 @@ def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     """Numeric H_check for a batch of coefficient vectors (B, 2NM) -> (B, 2MT, 2K).
 
     Each entry is 0.0 plus its terms in stored order, bit for bit (-0.0
-    included) what ``np.add.at`` over ``sym.scatter()`` gives.  Every rank
-    of terms is one contiguous gather of h's columns (with a zero column
-    appended for entries that have no term at that rank) times a per-entry
-    coefficient, added into a (B, entries) array that is already the
-    C-contiguous result.  Adding the padding's 0.0 leaves a sum unchanged:
-    a sum that starts at +0.0 is never -0.0.
+    included) what ``np.add.at`` over ``sym.scatter()`` gives.  The first
+    term of every entry is one contiguous gather of h's columns (with a zero
+    column appended for entries that have no term) times a per-entry
+    coefficient, into a (B, entries) array that is already the C-contiguous
+    result; a sum that starts at +0.0 is never -0.0, hence the added 0.0.
+    Each further rank gathers, scales and adds its terms at only the entries
+    that have a term at that rank.
     """
     b, width = h.shape
     ext = np.empty((b, width + 1))
@@ -279,10 +282,11 @@ def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     out = np.take(ext, idx, axis=1)
     out *= coef
     out += 0.0
-    for idx, coef in rest:
-        term = np.take(ext, idx, axis=1)
+    for at, idx, coef in rest:
+        term = np.take(h, idx, axis=1)
         term *= coef
-        out += term
+        term += np.take(out, at, axis=1)
+        out[:, at] = term
     return out.reshape(b, sym.rows, sym.cols)
 
 

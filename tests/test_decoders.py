@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ostbc_lab import decoders
 from ostbc_lab.codes import builtin_code_ids, get_code
 from ostbc_lab.constellation import (
     ConstellationError,
@@ -18,6 +20,7 @@ from ostbc_lab.decoders import (
     decode_Fprime,
     decode_lattice,
     decode_trace,
+    exhaustive_indices,
     exhaustive_ml,
 )
 from ostbc_lab.lattice import (
@@ -178,13 +181,81 @@ def test_exhaustive_matches_lattice(cid, name):
         np.testing.assert_array_equal(ml.indices, dec.indices)
 
 
+def naive_exhaustive(hc, yv, alphabet):
+    """(indices, ||yv - hc x||^2) of the first minimizer, candidate by
+    candidate in itertools.product order."""
+    best, best_dist = None, math.inf
+    for cand in itertools.product(range(len(alphabet)), repeat=hc.shape[1]):
+        dist = float(np.sum((yv - hc @ alphabet[list(cand)]) ** 2))
+        if dist < best_dist:
+            best, best_dist = cand, dist
+    return np.array(best), best_dist
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dims=st.integers(1, 6),
+       extra_rows=st.integers(0, 3), trials=st.integers(1, 3),
+       name=st.sampled_from(["4qam", "16qam"]))
+def test_exhaustive_matches_naive_oracle(seed, dims, extra_rows, trials,
+                                         name):
+    # Random Hc is not orthogonal, and odd dims give halves u and v of
+    # different lengths: a metric that leans on orthogonality or mixes up
+    # the split picks other winners here.
+    const = get_constellation(name)
+    alphabet = const.component_alphabet
+    rng = np.random.default_rng(seed)
+    hc = rng.standard_normal((trials, dims + extra_rows, dims))
+    x = alphabet[rng.integers(0, const.levels, (trials, dims))]
+    yv = np.einsum("bpj,bj->bp", hc, x) \
+        + 0.7 * rng.standard_normal((trials, dims + extra_rows))
+    idx, metric = exhaustive_indices(hc, yv, const)
+    assert idx.shape == (trials, dims) and metric.shape == (trials,)
+    for b in range(trials):
+        want, dist = naive_exhaustive(hc[b], yv[b], alphabet)
+        np.testing.assert_array_equal(idx[b], want)
+        assert metric[b] + float(yv[b] @ yv[b]) == \
+            pytest.approx(dist, rel=1e-9, abs=1e-9)
+
+
+def test_exhaustive_independent_of_slice(monkeypatch):
+    # Slices of one trial, of a few, of the default size and of the whole
+    # batch give bitwise the same winners and metrics.
+    rng = np.random.default_rng(12)
+    cases = []
+    for cid, name, trials in (("g2", "4qam", 40), ("g4", "16qam", 3)):
+        code, const = get_code(cid), get_constellation(name)
+        lats = [build_check_H(code, sample_channel_matrix(rng, code.n, 1))
+                for _ in range(trials)]
+        hc = np.stack([lat.hcheck for lat in lats])
+        cases.append((hc, rng.standard_normal(hc.shape[:2]), const))
+    for dims, name in ((1, "4qam"), (3, "16qam")):
+        hc = rng.standard_normal((20, dims + 1, dims))
+        cases.append((hc, rng.standard_normal(hc.shape[:2]),
+                      get_constellation(name)))
+    for hc, yv, const in cases:
+        results = []
+        for size in (1, 7, decoders._SLICE, 2 ** 30):
+            monkeypatch.setattr(decoders, "_SLICE", size)
+            results.append(exhaustive_indices(hc, yv, const))
+        for idx, metric in results[1:]:
+            np.testing.assert_array_equal(idx, results[0][0])
+            assert metric.tobytes() == results[0][1].tobytes()
+
+
 def test_exhaustive_tie_is_lexicographic():
-    # Zero received vector with equal-energy candidates: every metric ties,
-    # so the winner must be the all-lowest-index candidate.
-    const = get_constellation("4qam")
-    lat = build_check_H(get_code("g2"), np.array([[1.0 + 0j], [0.0]]))
-    ml, _ = exhaustive_ml(lat, np.zeros(4), const)
-    np.testing.assert_array_equal(ml.indices, [0, 0, 0, 0])
+    # Zero received vector on a channel with one unit coefficient: the
+    # metric is c ||x||^2, so every minimum-energy candidate ties, and the
+    # winner must be the first of them in lexicographic order, each
+    # component at its first smallest-magnitude amplitude.  On g4 the tied
+    # candidates differ in both halves u and v of x.
+    for cid, name in (("g2", "4qam"), ("g4", "4qam"), ("g4", "16qam")):
+        code, const = get_code(cid), get_constellation(name)
+        h = np.zeros((code.n, 1), dtype=complex)
+        h[0, 0] = 1.0
+        lat = build_check_H(code, h)
+        ml, _ = exhaustive_ml(lat, np.zeros(2 * code.t), const)
+        first = int(np.argmin(np.abs(const.component_alphabet)))
+        np.testing.assert_array_equal(ml.indices, [first] * (2 * code.k))
 
 
 def test_search_space_guard():

@@ -208,11 +208,14 @@ def test_noise_free_sweep_is_error_free(monkeypatch):
 
 def test_all_decoders_sweep_agreement(monkeypatch):
     monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
-    cfg = SimConfig(code="g2", constellation="4qam", snr_db=(8.0,),
-                    trials=50, seed=3, decoders=("all",))
-    res = run_ber(cfg)
-    assert res.agreement == 1.0
-    assert res.points[0].disagreements == 0
+    # g4 16qam searches 4**8 = 65536 candidates per trial exhaustively
+    for code, mod, snr, trials in (("g2", "4qam", 8.0, 50),
+                                   ("g4", "16qam", 6.0, 1000)):
+        cfg = SimConfig(code=code, constellation=mod, snr_db=(snr,),
+                        trials=trials, seed=3, decoders=("all",))
+        res = run_ber(cfg)
+        assert res.agreement == 1.0
+        assert res.points[0].disagreements == 0
 
 
 # (sym_errors, bit_errors) at 0 dB and 6 dB; 500 trials, seed 2026, m=1.
