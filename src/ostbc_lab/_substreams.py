@@ -1,11 +1,16 @@
-"""Batched Philox substreams: every trial of a draw block drawn at once.
+"""Per-trial Philox substreams, drawn a block of trials at a time.
 
 Trial ``t`` of SNR point ``p`` owns the stream of
-``np.random.Generator(np.random.Philox(key=(seed, p << 32 | t)))`` and draws,
-in order, ``standard_normal`` for the channel, ``integers(0, size, K)`` for
-the symbols and ``standard_normal`` for the noise.  ``draw`` reproduces those
-values bit for bit for a block of trials with whole-array operations, with
-no Python loop over trials or normals:
+``np.random.Generator(np.random.Philox(key=(seed, p << 32 | t)))``
+(``trial_rng``) and draws, in order, ``standard_normal`` for the channel,
+``integers(0, size, K)`` for the symbols and ``standard_normal`` for the
+noise (``draw_trial``).  ``draw_block`` gives every trial of a block its
+final draws: the batched ``draw`` covers most of them, and the few it marks
+not ``ok`` are redrawn by ``draw_trial`` on their own generator.  The draws
+are unscaled; the caller applies the channel and noise variances.
+
+``draw`` reproduces the per-trial values bit for bit for a block of trials
+with whole-array operations, with no Python loop over trials or normals:
 
 * Raw words are Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As
   Easy as 1, 2, 3", SC'11) under every key of the block, for counters 1, 2,
@@ -31,12 +36,11 @@ The sign bit is folded into 512-entry tables indexed by a word's low 9 bits:
 ``rabs * -wi == -(rabs * wi)`` exactly.
 
 A trial that leaves these paths is marked not ``ok`` and must be redrawn
-with the per-trial generator: a slow word in layer 0 (the tail, whose
-logarithms NumPy takes in C), a wedge comparison within ``_BAND`` of a tie
-(``np.exp`` may differ from the C library's ``exp`` in the last bits, and
-``fi`` is derived here), a block too short for its slow words, or an
-all-zero channel (which the per-trial draw redraws).  That is 0.2-1.2% of
-trials for the built-in codes, most of them tails.
+by ``draw_trial``: a slow word in layer 0 (the tail, whose logarithms NumPy
+takes in C), a wedge comparison within ``_BAND`` of a tie (``np.exp`` may
+differ from the C library's ``exp`` in the last bits, and ``fi`` is derived
+here), a block too short for its slow words, or an all-zero channel.  That
+is 0.2-1.2% of trials for the built-in codes, most of them tails.
 
 The ``wi`` and ``ki`` tables are NumPy's.  They are committed at the end of
 this module rather than probed from a generator at import: that probe is a
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["philox_words", "draw"]
+__all__ = ["philox_words", "draw", "trial_rng", "draw_trial", "draw_block"]
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _MASK52 = np.uint64((1 << 52) - 1)
@@ -241,6 +245,41 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
         h[slow_rows], sym[slow_rows], noise[slow_rows], ok[slow_rows] = \
             _parse(words, n_h, k, size, n_noise)
     return h, sym, noise, ok & h.any(axis=1)
+
+
+def trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
+    """The generator of trial `trial` of `point`: Philox4x64-10 under the
+    key (seed, point << 32 | trial)."""
+    key = np.array([seed, (point << 32) | trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def draw_trial(rng: np.random.Generator, n_h: int, k: int, size: int,
+               n_noise: int):
+    """Unscaled draws of one trial from `rng`, in order: (channel normals
+    (n_h,), symbol indices (k,), noise normals (n_noise,), redraws), an
+    all-zero channel (never seen in practice) redrawn and counted."""
+    h = rng.standard_normal(n_h)
+    redraws = 0
+    while not h.any():
+        h = rng.standard_normal(n_h)
+        redraws += 1
+    return h, rng.integers(0, size, k), rng.standard_normal(n_noise), redraws
+
+
+def draw_block(seed: int, point: int, trials, n_h: int, k: int, size: int,
+               n_noise: int):
+    """Unscaled final draws of trials `trials` of `point`: (channel normals
+    (B, n_h), symbol indices (B, k), noise normals (B, n_noise), redraws),
+    row i equal to ``draw_trial`` on ``trial_rng(seed, point, trials[i])``,
+    which redraws the rows that the batched ``draw`` leaves not ``ok``."""
+    h, sym, noise, ok = draw(seed, point, trials, n_h, k, size, n_noise)
+    redraws = 0
+    for i in np.flatnonzero(~ok):
+        h[i], sym[i], noise[i], r = draw_trial(
+            trial_rng(seed, point, int(trials[i])), n_h, k, size, n_noise)
+        redraws += r
+    return h, sym, noise, redraws
 
 
 # NumPy's ziggurat tables wi_double and ki_double

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from ._substreams import trial_rng
 from .codes import (
     CodeFormatError,
     OrthogonalityError,
@@ -35,9 +36,9 @@ from .schedule import (
     generate_schedule,
 )
 from .sim import (
+    DECODER_NAMES,
     SCHEMA,
     SimConfig,
-    _trial_rng,
     ber_to_csv,
     ber_to_json,
     run_ber,
@@ -102,7 +103,7 @@ def cmd_verify(args) -> int:
         return _verify_failure(
             code, f"code {code.id!r} declares c = {code.c} but its "
                   f"dispersion matrices give c = {measured}")
-    rng = _trial_rng(args.seed, 0, 0)
+    rng = trial_rng(args.seed, 0, 0)
     ok = True
     offdiag = spread = mismatch = 0.0
     for _ in range(args.trials):
@@ -132,9 +133,6 @@ def cmd_count(args) -> int:
     sched = generate_schedule(get_code(args.code), args.m, args.level)
     rm, ra = count_ops(sched)
     print(f"RM={rm} RA={ra}")
-    if args.dump:
-        Path(args.dump).write_text(dump_schedule(sched))
-        print(f"wrote {args.dump}", file=sys.stderr)
     return 0
 
 
@@ -213,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True, choices=builtin_code_ids())
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--level", default=2)
-    p.add_argument("--dump", help="also write the schedule text here")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("table", help="full count reproduction table as CSV")
@@ -238,8 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--decoders", default="lattice",
-                   help="comma-separated: lattice,trace,f,fprime,exhaustive "
-                        "or all")
+                   help=f"comma-separated: {','.join(DECODER_NAMES)} or all")
     p.add_argument("--out", help="output path prefix (default ber-CODE-MOD)")
     p.set_defaults(func=cmd_simulate)
     return parser

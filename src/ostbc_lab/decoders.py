@@ -26,8 +26,9 @@ without using orthogonality, batched over the same leading axes.  It
 expands the distance into the quadratic form x^T G x - 2 r^T x, with the
 Gram matrix G = Hc^T Hc and r = Hc^T ycheck computed for every trial, never
 assumed to be sigma I.  Splitting x into halves u and v turns the metric of
-every candidate into one small product per trial of per-half terms, and
-``_SLICE`` bounds how many (trial, candidate) metrics exist at once.
+every candidate into one small product per trial of per-half terms.
+``_SLICE`` bounds how many (trial, candidate) metrics exist at once, not
+the per-trial factor arrays, which grow with the batch size.
 ``decode_lattice``, ``decode_trace``, ``decode_F``, ``decode_Fprime`` and
 ``exhaustive_ml`` are their one-trial forms.
 """
@@ -61,7 +62,7 @@ __all__ = [
 
 MAX_SEARCH_SPACE = 2 ** 24
 # (trial x candidate) metric entries per exhaustive slice, one trial at
-# least; the search's only memory bound.
+# least; it bounds the metric array, not the per-trial factor arrays.
 _SLICE = 2 ** 13
 
 

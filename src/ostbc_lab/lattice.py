@@ -275,6 +275,9 @@ def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     that have a term at that rank.
     """
     b, width = h.shape
+    if width != 2 * sym.code.n * sym.m:
+        raise ValueError(f"h has {width} coefficients, "
+                         f"need {2 * sym.code.n * sym.m}")
     ext = np.empty((b, width + 1))
     ext[:, :width] = h
     ext[:, width] = 0.0

@@ -7,26 +7,23 @@ E_s/N_0 in dB with unit average transmit-symbol energy, so N0 = 10^(-snr/10)
 and each real noise dimension has variance N0/2.  snr = inf runs the
 noise-free model (the noise draw still happens, keeping streams aligned).
 
-Determinism: every trial owns a Philox substream keyed by
-(seed, point_index << 32 | trial_index) with a fixed draw order (channel,
-symbol indices, noise), so results are independent of chunking, worker
-count, and trial interleaving.  The sweep draws the substreams of a block
-of ``_DRAW`` trials at once (``_substreams``: vectorized Philox4x64-10, the
-ziggurat's fast and wedge paths, Lemire symbol indices), bit for bit equal to
-drawing each trial from its own ``Generator(Philox(key))``; the few trials
-that need the ziggurat tail, sit on a rounding tie, or draw an all-zero
-channel are redrawn that way.  Each draw block is then transmitted and
-decoded by one call: Hc, the transmit product, the matched filters and the
-exhaustive search run ``_CHUNK`` trials at a time, since Hc (B x 2MT x 2K)
-and the evaluation and matched-filter arrays set peak memory (the
-exhaustive search slices its own by ``decoders._SLICE``); the symbol to
-component mapping, sigma, the scaling and quantization, the agreement check
-and the error count run once per draw block, on small (B, 2K) arrays, so
-their fixed cost per NumPy call is spread over the whole block.  The error
-count compares integer component indices.  ``run_trial`` draws its one
-trial from the generator it is given and runs the same transmit and decode
-function as the sweep, a batch of one, so a sweep decomposes exactly into
-per-trial draws.
+Determinism: each trial draws its channel, symbol indices and noise from
+its own counter-keyed substream (``_substreams``), so results are
+independent of chunking, worker count, and trial interleaving.  The sweep
+draws ``_DRAW`` trials at a time with ``_substreams.draw_block``, and
+``run_trial`` draws its one trial from the generator it is given with
+``_substreams.draw_trial``; both then scale the draws, the channel by
+1/sqrt(2) and the noise by sqrt(N0/2).  Each draw block is transmitted
+and decoded by one call: Hc, the transmit product, the matched filters and
+the exhaustive search run ``_CHUNK`` trials at a time, since Hc
+(B x 2MT x 2K), the evaluation and matched-filter arrays and the exhaustive
+search's per-trial factor arrays set peak memory (``decoders._SLICE``
+bounds only the search's metric array); the symbol to component mapping,
+sigma, the scaling and quantization, the agreement check and the error
+count run once per draw block, on small (B, 2K) arrays, so their fixed cost
+per NumPy call is spread over the whole block.  The error count compares
+integer component indices.  ``run_trial`` transmits and decodes through the
+same function, a batch of one.
 
 Workers: a sweep is cut into (point, block) tasks of ``_TASK`` trials, a
 whole number of draw blocks, the last task of each point clipped.  A task
@@ -95,7 +92,7 @@ __all__ = [
 ]
 
 SCHEMA = "ostbc-lab/1"
-DECODER_NAMES = ("lattice", "trace", "f", "fprime", "exhaustive")
+DECODER_NAMES = (*MATCHED_FILTERS, "exhaustive")
 # Trials per Hc evaluation, transmit product and matched filter; bounds
 # those arrays.
 _CHUNK = 128
@@ -136,8 +133,8 @@ class SimConfig:
     def __post_init__(self):
         get_code(self.code)
         get_constellation(self.constellation)
-        # the substream key is (point << 32) | trial, so points and trials
-        # each stay below 2**32; the points are counted before any is copied
+        # a substream key packs point and trial into 32 bits each
+        # (``_substreams``); the points are counted before any is copied
         if len(self.snr_db) >= 2 ** 32:
             raise ValueError("snr_db must have fewer than 2**32 points")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
@@ -206,47 +203,6 @@ def _noise_scale(snr_db: float) -> float:
     return math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
 
 
-def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
-    key = np.array([seed, (point << 32) | trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _draw_trial(rng, n, m, t, k, size, scale):
-    """Fixed-order draws: channel, symbol indices, noise.
-
-    Returns (h, symbol indices, real noise vector, redraws).  An all-zero
-    channel draw (never seen in practice) is redrawn within the substream.
-    """
-    h = rng.standard_normal(2 * n * m) * RSQRT2
-    redraws = 0
-    while not h.any():
-        h = rng.standard_normal(2 * n * m) * RSQRT2
-        redraws += 1
-    sym = rng.integers(0, size, k)
-    noise = rng.standard_normal(2 * m * t) * scale
-    return h, sym, noise, redraws
-
-
-def _draw_chunk(code, m, size, scale, seed, point, trials):
-    """Draws of trials `trials` of `point`: (h (B, 2NM), symbol indices
-    (B, K), noise (B, 2MT), redraws), each row equal to `_draw_trial` on the
-    trial's own substream.
-
-    The batched draw covers most trials; the rest are redrawn here.
-    """
-    h, sym, noise, ok = _substreams.draw(
-        seed, point, trials, 2 * code.n * m, code.k, size, 2 * m * code.t)
-    h *= RSQRT2
-    noise *= scale
-    redraws = 0
-    for i in np.flatnonzero(~ok):
-        h[i], sym[i], noise[i], r = _draw_trial(
-            _trial_rng(seed, point, int(trials[i])), code.n, m, code.t,
-            code.k, size, scale)
-        redraws += r
-    return h, sym, noise, redraws
-
-
 def _run_batch(code, const, m, h, sent, noise, decoders):
     """Transmit and decode one trial per row of the drawn (h, sent, noise).
 
@@ -297,8 +253,10 @@ def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
     code = get_code(code) if isinstance(code, str) else code
     const = get_constellation(constellation) \
         if isinstance(constellation, str) else constellation
-    h, sym, noise, redraws = _draw_trial(
-        rng, code.n, m, code.t, code.k, const.size, _noise_scale(snr_db))
+    h, sym, noise, redraws = _substreams.draw_trial(
+        rng, 2 * code.n * m, code.k, const.size, 2 * m * code.t)
+    h *= RSQRT2
+    noise *= _noise_scale(snr_db)
     comp, decoded, agree = _run_batch(code, const, m, h[None], sym[None],
                                       noise[None], _decoder_names(decoders))
     return TrialResult(
@@ -331,8 +289,11 @@ def _simulate_block(config: SimConfig, point: int, start: int,
     sym_errors = bit_errors = redraws = disagreements = 0
     for lo in range(start, stop, _DRAW):
         trials = np.arange(lo, min(lo + _DRAW, stop))
-        h, sym, noise, r = _draw_chunk(code, config.m, const.size, scale,
-                                       config.seed, point, trials)
+        h, sym, noise, r = _substreams.draw_block(
+            config.seed, point, trials, 2 * code.n * config.m, code.k,
+            const.size, 2 * config.m * code.t)
+        h *= RSQRT2
+        noise *= scale
         comp, decoded, agree = _run_batch(code, const, config.m, h, sym,
                                           noise, config.decoders)
         se, be = _count_errors(comp, decoded[config.decoders[0]], const.gray)

@@ -46,10 +46,12 @@ def test_count_golden(capsys, argv, line):
     assert out.strip() == line
 
 
-def test_count_dump_file(capsys, tmp_path):
+def test_schedule_dump_out_file(capsys, tmp_path):
     path = tmp_path / "g2.sched"
-    rc, out, err = run(capsys, "count", "--code", "g2", "--dump", str(path))
+    rc, out, err = run(capsys, "schedule-dump", "--code", "g2", "--out",
+                       str(path))
     assert rc == 0
+    assert out == ""
     text = path.read_text()
     assert text.startswith("schedule g2 M=1 level=L2\n")
     assert text.rstrip().endswith("count RM=28 RA=15")

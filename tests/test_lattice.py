@@ -272,6 +272,17 @@ def test_batch_evaluation_matches_single():
         np.testing.assert_array_equal(batch[i], evaluate_lattice(sym, hb[i]))
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "wide"])
+def test_batch_evaluation_rejects_wrong_width(extra):
+    # a short h would read its missing coefficient from the appended zero
+    # column, and a wide one would have its extra column ignored
+    sym = build_symbolic_lattice(get_code("g2"), 1)
+    h = np.ones((3, 4 + extra))
+    with pytest.raises(ValueError, match=f"h has {4 + extra} coefficients, "
+                                         "need 4"):
+        evaluate_lattice_batch(sym, h)
+
+
 def add_at_oracle(sym, h):
     """H_check by np.add.at over the stored scatter terms."""
     pos, hidx, coef = sym.scatter()

@@ -138,13 +138,17 @@ def test_run_ber_deterministic(monkeypatch):
                          ids=["lattice", "all"])
 def test_sweep_decomposes_into_trials(monkeypatch, decoders):
     # the chunked sweep must give exactly the error totals of per-trial
-    # decoding on the documented substreams, across chunk boundaries
+    # decoding on the documented substreams, across draw block and chunk
+    # boundaries, with some trials redrawn off the batched draw
     monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
     cfg = SimConfig(code="g2", constellation="4qam", snr_db=(0.0,),
-                    trials=300, seed=2024, decoders=decoders)
-    assert cfg.trials > 2 * _CHUNK
-    point = run_ber(cfg).points[0]
+                    trials=1000, seed=2024, decoders=decoders)
+    assert cfg.trials > sim._DRAW
     code, const = get_code("g2"), get_constellation("4qam")
+    ok = _substreams.draw(cfg.seed, 0, np.arange(cfg.trials), 2 * code.n,
+                          code.k, const.size, 2 * code.t)[3]
+    assert not ok.all()
+    point = run_ber(cfg).points[0]
     sym = bits = 0
     for t in range(cfg.trials):
         tr = run_trial(code, const, 0.0, substream(cfg.seed, 0, t), decoders)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ostbc_lab import _substreams
-from ostbc_lab.codes import get_code
+from ostbc_lab._substreams import draw_block, draw_trial, trial_rng
+from ostbc_lab.codes import RSQRT2, get_code
 from ostbc_lab.constellation import get_constellation
-from ostbc_lab.sim import _draw_chunk, _draw_trial, _noise_scale, _trial_rng
+from ostbc_lab.sim import _noise_scale
 
 CODES_M = [("g2", 1), ("g3", 2), ("g4", 1), ("h3", 1)]
 
@@ -114,15 +115,19 @@ def test_chunk_draws_equal_per_trial_generator(cid, m, mod, snr):
     assert {int(t) for t in trials[~ok]} >= fallback
     assert ok[-len(PATHS):].tolist() == [t not in fallback
                                          for t in PATHS.values()]
-    h, sym, noise, redraws = _draw_chunk(code, m, size, scale, SEED, 0,
-                                         trials)
+    n_h, n_noise = 2 * code.n * m, 2 * m * code.t
+    h, sym, noise, redraws = draw_block(SEED, 0, trials, n_h, code.k, size,
+                                        n_noise)
     assert redraws == 0
+    # the sweep scales the whole block after the fallback rows are redrawn
+    h *= RSQRT2
+    noise *= scale
     for i, t in enumerate(trials):
-        want = _draw_trial(_trial_rng(SEED, 0, int(t)), code.n, m, code.t,
-                           code.k, size, scale)
-        np.testing.assert_array_equal(h[i], want[0])
+        want = draw_trial(trial_rng(SEED, 0, int(t)), n_h, code.k, size,
+                          n_noise)
+        np.testing.assert_array_equal(h[i], want[0] * RSQRT2)
         np.testing.assert_array_equal(sym[i], want[1])
-        np.testing.assert_array_equal(noise[i], want[2])
+        np.testing.assert_array_equal(noise[i], want[2] * scale)
 
 
 def words_consumed(rng):
@@ -142,7 +147,7 @@ def test_blocks_of_one_path_equal_per_trial_generator(cid, m, slow):
     lead = n_h + (code.k + 1) // 2 + n_noise
     trials, want = [], []
     for t in range(2000):
-        rng = _trial_rng(SEED, 0, t)
+        rng = trial_rng(SEED, 0, t)
         draws = (rng.standard_normal(n_h), rng.integers(0, size, code.k),
                  rng.standard_normal(n_noise))
         if (words_consumed(rng) > lead) == slow:
@@ -182,7 +187,7 @@ def test_batched_draws_match_generator_over_a_million_keys():
                                                  code.k, 16, n_noise)
             fallbacks += int(np.sum(~ok))
             for i in np.flatnonzero(ok):
-                rng = _trial_rng(7, point, int(trials[i]))
+                rng = trial_rng(7, point, int(trials[i]))
                 assert np.array_equal(h[i], rng.standard_normal(n_h))
                 assert np.array_equal(sym[i], rng.integers(0, 16, code.k))
                 assert np.array_equal(noise[i], rng.standard_normal(n_noise))
