@@ -262,6 +262,13 @@ def evaluate_lattice(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     return evaluate_lattice_batch(sym, h[None, :])[0]
 
 
+def _require_real(name: str, value) -> None:
+    """Reject a complex value where the interleaved real vector belongs."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} is complex; pass its interleaved real "
+                         f"vector, as vectorize_received builds it")
+
+
 def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     """Numeric H_check for a batch of coefficient vectors (B, 2NM) -> (B, 2MT, 2K).
 
@@ -274,6 +281,7 @@ def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     Each further rank gathers, scales and adds its terms at only the entries
     that have a term at that rank.
     """
+    _require_real("h", h)
     b, width = h.shape
     if width != 2 * sym.code.n * sym.m:
         raise ValueError(f"h has {width} coefficients, "

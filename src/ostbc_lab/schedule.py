@@ -23,18 +23,31 @@ columns is formed in each, never cached across outputs.
 
 Cost model: MUL = 1 RM, ADD = 1 RA, NEG free, DIV4 (scalar reciprocal,
 standing in for a real division) = 4 RM.  Subtraction is ADD of a NEG.
+
+Execution: on its first ``execute_schedule`` a schedule is compiled once
+into a register plan by a linear scan over its ops (Poletto & Sarkar,
+"Linear Scan Register Allocation", TOPLAS 21(5), 1999).  Every temp and
+entry slot gets a register, which returns to a free list after the last op
+that reads it; outputs stay live to the end.  An entry slot is bound just
+before its first use, not up front.  Each call then allocates one
+(``Schedule.registers``, *batch) float64 block and runs every op as one
+NumPy ufunc writing into its register, reading h and ycheck as contiguous
+(n, *batch) columns.  Peak memory is about registers x B x 8 bytes plus
+the inputs, their column copies and the output.  The outputs are bit for
+bit those of evaluating the ops one by one in program order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .codes import DispersionCode, RSQRT2
-from .lattice import LinForm, SymbolicLattice, build_symbolic_lattice, \
-    linform_value
+from .codes import _TAG_VALUES, DispersionCode, RSQRT2
+from .lattice import LinForm, SymbolicLattice, _require_real, \
+    build_symbolic_lattice
 
 __all__ = [
     "Op",
@@ -74,8 +87,8 @@ class Slot:
     """A named scalar: input (h/y/entry), constant, or computed temp.
 
     Entry slots carry the linear form over h that yields their value; the
-    executor evaluates it at bind time and the cost model charges nothing,
-    matching a receiver that stores the lattice matrix.
+    executor evaluates it just before its first use and the cost model
+    charges nothing, matching a receiver that stores the lattice matrix.
     """
 
     name: str
@@ -104,6 +117,15 @@ class Schedule:
     def count(self) -> OpCount:
         return count_ops(self)
 
+    @property
+    def registers(self) -> int:
+        """Rows of the (registers, *batch) block ``execute_schedule`` uses."""
+        return self._plan.registers
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        return _compile_plan(self)
+
 
 def _coerce_level(level) -> int:
     if isinstance(level, str):
@@ -128,23 +150,26 @@ class _Builder:
         self.slots.append(slot)
         return len(self.slots) - 1
 
-    def _intern(self, key: tuple, slot: Slot) -> int:
-        if key not in self._interned:
-            self._interned[key] = self._new(slot)
-        return self._interned[key]
+    def _intern(self, key: tuple, make) -> int:
+        """Slot id of key, adding the slot make() builds on a miss."""
+        sid = self._interned.get(key)
+        if sid is None:
+            sid = self._interned[key] = self._new(make())
+        return sid
 
     def h(self, i: int) -> int:
-        return self._intern(("h", i), Slot(f"h{i + 1}", "h", index=i))
+        return self._intern(("h", i), lambda: Slot(f"h{i + 1}", "h", index=i))
 
     def y(self, i: int) -> int:
-        return self._intern(("y", i), Slot(f"y{i + 1}", "y", index=i))
+        return self._intern(("y", i), lambda: Slot(f"y{i + 1}", "y", index=i))
 
     def entry(self, p: int, j: int, form: LinForm) -> int:
-        return self._intern(("e", p, j),
-                            Slot(f"e{p + 1}_{j + 1}", "entry", recipe=form))
+        return self._intern(("e", p, j), lambda: Slot(
+            f"e{p + 1}_{j + 1}", "entry", recipe=form))
 
     def const(self, name: str, value: float) -> int:
-        return self._intern(("const", name), Slot(name, "const", value=value))
+        return self._intern(("const", name),
+                            lambda: Slot(name, "const", value=value))
 
     def rsqrt2(self) -> int:
         return self.const("rsqrt2", RSQRT2)
@@ -306,43 +331,147 @@ def count_ops(sched: Schedule) -> OpCount:
     return OpCount(rm, ra)
 
 
+_UFUNCS = {("ADD", 2): np.add, ("MUL", 2): np.multiply,
+           ("NEG", 1): np.negative, ("DIV4", 1): np.divide}
+
+
+class _Plan(NamedTuple):
+    """A schedule laid out on a register file.
+
+    Operands index one per-call table: the n_h h columns, the n_y ycheck
+    columns, ``consts``, then the rows of the register block in reverse, so
+    that register r is operand ~r.  A step is (ufunc, a, b, out); b is None
+    for NEG, and DIV4 divides the constant 1.0 by a.
+    """
+
+    registers: int
+    consts: tuple[float, ...]
+    steps: tuple[tuple, ...]
+    outputs: tuple[int, ...]
+
+
+def _compile_plan(sched: Schedule) -> _Plan:
+    """Linear-scan register allocation over the single-assignment ops.
+
+    A slot's register is freed after the last op that reads it, outputs
+    excepted, and a temp may take a register its own operands free.  An
+    entry slot is bound just before the first op that reads it, as
+    ``linform_value`` sums it: 0.0 plus each term in stored order.
+    """
+    ops = sched.ops
+    end = len(ops)
+    last = {}
+    for k, op in enumerate(ops):
+        for a in op.args:
+            last[a] = k
+    for o in sched.outputs:
+        last[o] = end  # past every op, so never freed
+    consts: dict = {}
+    bound: dict[int, int] = {}
+    free: list[int] = []
+    steps: list[tuple] = []
+    registers = 0
+
+    def const(key, value: float) -> int:
+        """Operand of a constant; key is a const slot id or a str."""
+        if key not in consts:
+            consts[key] = (len(consts), value)
+        return sched.n_h + sched.n_y + consts[key][0]
+
+    def alloc() -> int:
+        nonlocal registers
+        if free:
+            return free.pop()
+        registers += 1
+        return -registers
+
+    def bind_entry(form: LinForm) -> int:
+        acc = const("zero", 0.0)
+        for i, tag in form:
+            t = alloc()
+            steps.append((np.multiply, i, const(f"tag{tag}", _TAG_VALUES[tag]),
+                          t))
+            steps.append((np.add, acc, t, t))
+            if acc < 0:
+                free.append(acc)
+            acc = t
+        return acc
+
+    def bind(sid: int) -> int:
+        slot = sched.slots[sid]
+        if slot.kind == "h" or slot.kind == "y":
+            first, n = (0, sched.n_h) if slot.kind == "h" \
+                else (sched.n_h, sched.n_y)
+            if not 0 <= slot.index < n:
+                raise RuntimeError(f"slot {slot.name} reads {slot.kind} "
+                                   f"index {slot.index} of {n}")
+            bound[sid] = first + slot.index
+        elif slot.kind == "const":
+            bound[sid] = const(sid, slot.value)
+        elif slot.kind == "entry":
+            bound[sid] = bind_entry(slot.recipe)
+        else:
+            raise RuntimeError(f"unbound slot {slot.name}")
+        return bound[sid]
+
+    for k, op in enumerate(ops):
+        args = op.args
+        a = args[0]
+        x = bound[a] if a in bound else bind(a)
+        y = None
+        if len(args) == 2:
+            b = args[1]
+            y = bound[b] if b in bound else bind(b)
+            if last[b] == k:
+                last[b] = end  # so that a repeated operand is freed once
+                if y < 0:
+                    free.append(y)
+        if last[a] == k:
+            last[a] = end
+            if x < 0:
+                free.append(x)
+        ufunc = _UFUNCS.get((op.kind, len(args)))
+        if ufunc is None:
+            raise RuntimeError(f"unknown op {op.kind!r} of {len(args)} "
+                               f"operands")
+        if op.kind == "DIV4":
+            x, y = const("one", 1.0), x
+        bound[op.dst] = dst = alloc()
+        steps.append((ufunc, x, y, dst))
+    outputs = tuple(bound[o] if o in bound else bind(o)
+                    for o in sched.outputs)
+    return _Plan(registers, tuple(value for _, value in consts.values()),
+                 tuple(steps), outputs)
+
+
 def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
     """Run the program on channel coefficients h and received ycheck.
 
-    Both accept a leading batch dimension; (2MN,) and (B, 2MN) h shapes
-    pair with (2MT,) and (B, 2MT) ycheck.
+    Both accept leading batch dimensions that broadcast against each
+    other, e.g. (2MN,) or (B, 2MN) h with (2MT,) or (B, 2MT) ycheck.  Both
+    must be real; ``lattice.vectorize_received`` interleaves complex values.
     """
+    _require_real("h", h)
+    _require_real("ycheck", ycheck)
     h = np.asarray(h, dtype=float)
     yv = np.asarray(ycheck, dtype=float)
     if h.shape[-1] != sched.n_h:
         raise ValueError(f"h has {h.shape[-1]} coefficients, need {sched.n_h}")
     if yv.shape[-1] != sched.n_y:
         raise ValueError(f"ycheck has {yv.shape[-1]} values, need {sched.n_y}")
-    vals: list = [None] * len(sched.slots)
-    for sid, slot in enumerate(sched.slots):
-        if slot.kind == "h":
-            vals[sid] = h[..., slot.index]
-        elif slot.kind == "y":
-            vals[sid] = yv[..., slot.index]
-        elif slot.kind == "const":
-            vals[sid] = slot.value
-        elif slot.kind == "entry":
-            vals[sid] = linform_value(slot.recipe, h)
-    for op in sched.ops:
-        a = vals[op.args[0]]
-        if a is None:
-            raise RuntimeError(f"unbound slot {sched.slots[op.args[0]].name}")
-        if op.kind == "ADD":
-            vals[op.dst] = a + vals[op.args[1]]
-        elif op.kind == "MUL":
-            vals[op.dst] = a * vals[op.args[1]]
-        elif op.kind == "NEG":
-            vals[op.dst] = -a
-        elif op.kind == "DIV4":
-            vals[op.dst] = 1.0 / a
+    plan = sched._plan
+    regs = np.empty((plan.registers,
+                     *np.broadcast_shapes(h.shape[:-1], yv.shape[:-1])))
+    table = [*np.ascontiguousarray(np.moveaxis(h, -1, 0)),
+             *np.ascontiguousarray(np.moveaxis(yv, -1, 0)),
+             *plan.consts,
+             *(regs[r, ...] for r in reversed(range(plan.registers)))]
+    for f, a, b, out in plan.steps:
+        if b is None:
+            f(table[a], table[out])
         else:
-            raise RuntimeError(f"unknown op kind {op.kind!r}")
-    return np.stack(np.broadcast_arrays(*(vals[i] for i in sched.outputs)),
+            f(table[a], table[b], table[out])
+    return np.stack(np.broadcast_arrays(*(table[o] for o in plan.outputs)),
                     axis=-1)
 
 

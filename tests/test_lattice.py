@@ -283,6 +283,14 @@ def test_batch_evaluation_rejects_wrong_width(extra):
         evaluate_lattice_batch(sym, h)
 
 
+def test_batch_evaluation_rejects_complex_h():
+    # the per-rank gathers would drop the imaginary part with a warning
+    sym = build_symbolic_lattice(get_code("g2"), 1)
+    with pytest.raises(ValueError, match="^h is complex; "
+                                         ".*vectorize_received"):
+        evaluate_lattice_batch(sym, np.ones((3, 4)) + 1j)
+
+
 def add_at_oracle(sym, h):
     """H_check by np.add.at over the stored scatter terms."""
     pos, hidx, coef = sym.scatter()

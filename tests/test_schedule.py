@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ostbc_lab.codes import DispersionCode, builtin_code_ids, get_code
-from ostbc_lab.lattice import ChannelRealization, build_check_H
+from ostbc_lab.lattice import ChannelRealization, build_check_H, \
+    linform_value
 from ostbc_lab.schedule import (
     LEVELS,
     Op,
@@ -211,6 +213,138 @@ def test_execute_rejects_wrong_lengths():
         execute_schedule(sched, np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
         execute_schedule(sched, np.zeros(4), np.zeros(5))
+
+
+def test_execute_rejects_complex_input():
+    # np.asarray(..., dtype=float) would keep only the real part
+    sched = generate_schedule(get_code("g2"), 1, 2)
+    for h, y, name in ((np.ones(4), np.arange(4) + 1j, "ycheck"),
+                       (np.ones(4) + 0j, np.arange(4.0), "h"),
+                       ([1, 0, 0, 1j], np.arange(4.0), "h")):
+        with pytest.raises(ValueError, match=f"^{name} is complex; "
+                                             ".*vectorize_received"):
+            execute_schedule(sched, h, y)
+
+
+# -- the register plan against the eager interpreter ------------------------
+
+def reference_execute(sched, h, ycheck):
+    """Every slot bound up front, one array per op, in program order."""
+    h = np.asarray(h, dtype=float)
+    yv = np.asarray(ycheck, dtype=float)
+    vals = [None] * len(sched.slots)
+    for sid, slot in enumerate(sched.slots):
+        if slot.kind == "h":
+            vals[sid] = h[..., slot.index]
+        elif slot.kind == "y":
+            vals[sid] = yv[..., slot.index]
+        elif slot.kind == "const":
+            vals[sid] = slot.value
+        elif slot.kind == "entry":
+            vals[sid] = linform_value(slot.recipe, h)
+    for op in sched.ops:
+        a = vals[op.args[0]]
+        if op.kind == "ADD":
+            vals[op.dst] = a + vals[op.args[1]]
+        elif op.kind == "MUL":
+            vals[op.dst] = a * vals[op.args[1]]
+        elif op.kind == "NEG":
+            vals[op.dst] = -a
+        elif op.kind == "DIV4":
+            vals[op.dst] = 1.0 / a
+    return np.stack(np.broadcast_arrays(*(vals[i] for i in sched.outputs)),
+                    axis=-1)
+
+
+@pytest.mark.parametrize("cid", builtin_code_ids())
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("level", LEVELS)
+def test_execute_bitwise_equals_reference(cid, m, level):
+    code = get_code(cid)
+    sched = generate_schedule(code, m, level)
+    rng = np.random.default_rng([m, level, len(cid), ord(cid[-1])])
+    hb = rng.standard_normal((33, sched.n_h))
+    yb = rng.standard_normal((33, sched.n_y))
+    hb[0, ::2] = -0.0  # signed zeros reach entries and outputs
+    yb[0] = -0.0
+    for h, y in ((hb, yb), (hb[1], yb[1]), (hb[2], yb)):
+        got = execute_schedule(sched, h, y)
+        want = reference_execute(sched, h, y)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_output_read_by_a_later_op_keeps_its_register():
+    # t2 could otherwise be written over t1 once t1's last reader has run
+    slots = (Slot("h1", "h", index=0), Slot("y1", "y", index=0),
+             Slot("t1", "temp"), Slot("t2", "temp"))
+    sched = Schedule(code_id="x", m=1, level=0, n_h=1, n_y=1, slots=slots,
+                     ops=(Op("MUL", 2, (0, 1)), Op("ADD", 3, (1, 2))),
+                     outputs=(2, 3), sigma_slot=0, sigma_inv_slot=0)
+    h, y = np.array([[2.0], [3.0]]), np.array([[5.0], [7.0]])
+    assert sched.registers == 2
+    np.testing.assert_array_equal(execute_schedule(sched, h, y),
+                                  [[10.0, 15.0], [21.0, 28.0]])
+    assert execute_schedule(sched, h, y).tobytes() == \
+        reference_execute(sched, h, y).tobytes()
+
+
+def test_execute_hand_built_failures():
+    h1, t1 = Slot("h1", "h", index=0), Slot("t1", "temp")
+    # t1 is read before any op writes it
+    unbound = Schedule(code_id="x", m=1, level=0, n_h=1, n_y=1,
+                       slots=(h1, t1, t1), ops=(Op("ADD", 2, (0, 1)),),
+                       outputs=(2,), sigma_slot=0, sigma_inv_slot=0)
+    with pytest.raises(RuntimeError, match="unbound slot t1"):
+        execute_schedule(unbound, [1.0], [1.0])
+    # a column outside h would otherwise alias a register
+    no_index = Schedule(code_id="x", m=1, level=0, n_h=1, n_y=1,
+                        slots=(Slot("h1", "h"), t1), ops=(Op("NEG", 1, (0,)),),
+                        outputs=(1,), sigma_slot=0, sigma_inv_slot=0)
+    with pytest.raises(RuntimeError, match="slot h1 reads h index -1 of 1"):
+        execute_schedule(no_index, [1.0], [1.0])
+    for kind, args in (("SQRT", (0,)), ("ADD", (0,)), ("NEG", (0, 0))):
+        bad = Schedule(code_id="x", m=1, level=0, n_h=1, n_y=1,
+                       slots=(h1, t1), ops=(Op(kind, 1, args),),
+                       outputs=(1,), sigma_slot=0, sigma_inv_slot=0)
+        with pytest.raises(RuntimeError,
+                           match=f"unknown op '{kind}' of {len(args)} "):
+            execute_schedule(bad, [1.0], [1.0])
+
+
+# Rows of the register block per built-in code at m = 1 and 2, L0..L2.
+REGISTERS = {
+    "g2": ((11, 8, 8), (19, 12, 12)),
+    "g3": ((35, 19, 14), (63, 31, 20)),
+    "g4": ((39, 23, 16), (71, 39, 24)),
+    "h3": ((20, 14, 12), (34, 22, 18)),
+}
+
+
+@pytest.mark.parametrize("cid", builtin_code_ids())
+def test_register_counts(cid):
+    code = get_code(cid)
+    got = tuple(tuple(generate_schedule(code, m, lv).registers
+                      for lv in LEVELS) for m in (1, 2))
+    assert got == REGISTERS[cid]
+
+
+def test_execute_traced_peak():
+    # 71 registers x 4096 trials x 8 bytes = 2.3 MB, plus the column copies
+    # of h and ycheck and the output: 4.2 MB measured.  Holding every slot
+    # to the end took 27.6 MB.
+    code = get_code("g4")
+    sched = generate_schedule(code, 2, 0)
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((4096, sched.n_h))
+    y = rng.standard_normal((4096, sched.n_y))
+    tracemalloc.start()
+    try:
+        execute_schedule(sched, h, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 # -- text dump ---------------------------------------------------------------
