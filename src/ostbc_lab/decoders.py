@@ -42,8 +42,8 @@ import numpy as np
 
 from .codes import DispersionCode
 from .constellation import Constellation, quantize_indices
-from .lattice import RealLattice, _as_channel, build_F, channel_sigma, \
-    deinterleave, interleave, unvectorize, vectorize_received
+from .lattice import RealLattice, _as_channel, _require_real, build_F, \
+    channel_sigma, deinterleave, interleave, unvectorize, vectorize_received
 
 __all__ = [
     "SoftEstimate",
@@ -164,6 +164,7 @@ def decode_lattice(lat: RealLattice, ycheck,
                    constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
     """ML decode from the real lattice: xhat = Hc^T ycheck / sigma."""
     _check_sigma(lat.sigma)
+    _require_real("ycheck", ycheck)
     ycheck = np.asarray(ycheck, dtype=float)
     z = _lattice(None, None, lat.hcheck, ycheck) / lat.sigma
     return SoftEstimate(z=z), _decide(z, constellation)

@@ -110,6 +110,7 @@ class ChannelRealization:
 
     @classmethod
     def from_h(cls, h, n: int, m: int) -> "ChannelRealization":
+        _require_real("h", h)
         h = np.asarray(h, dtype=float)
         if h.shape != (2 * n * m,):
             raise ValueError(f"expected {2 * n * m} real coefficients, got {h.shape}")
@@ -352,6 +353,7 @@ def build_check_H(code: DispersionCode, channel) -> RealLattice:
 
 def channel_sigma(code: DispersionCode, h: np.ndarray) -> np.ndarray:
     """sigma = c * ||H||_F^2 from coefficient vectors h (..., 2NM) -> (...)."""
+    _require_real("h", h)
     return code.c * np.sum(h * h, axis=-1)
 
 

@@ -24,6 +24,13 @@ columns is formed in each, never cached across outputs.
 Cost model: MUL = 1 RM, ADD = 1 RA, NEG free, DIV4 (scalar reciprocal,
 standing in for a real division) = 4 RM.  Subtraction is ADD of a NEG.
 
+Representation: ``Op`` and ``Slot`` are ``typing.NamedTuple``s, immutable
+and hashable; derive a changed copy with ``op._replace(...)``, since
+``dataclasses.replace`` does not accept them.  The builder makes one ``Op``
+and one temp ``Slot`` per emitted op, and a tuple is built in well under
+half the time of a frozen dataclass.  ``Schedule`` is a frozen dataclass
+holding tuples of them.
+
 Execution: on its first ``execute_schedule`` a schedule is compiled once
 into a register plan by a linear scan over its ops (Poletto & Sarkar,
 "Linear Scan Register Allocation", TOPLAS 21(5), 1999).  Every temp and
@@ -73,8 +80,7 @@ class OpCount(NamedTuple):
     ra: int
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     """One scalar operation; args are slot ids, dst is a fresh slot."""
 
     kind: str  # "ADD" | "MUL" | "NEG" | "DIV4"
@@ -82,8 +88,7 @@ class Op:
     args: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """A named scalar: input (h/y/entry), constant, or computed temp.
 
     Entry slots carry the linear form over h that yields their value; the
@@ -138,59 +143,68 @@ def _coerce_level(level) -> int:
 
 
 class _Builder:
-    """Accumulates slots and ops; interns inputs and constants."""
+    """Accumulates slots and ops; interns inputs and constants.
+
+    Every op writes a fresh temp slot, so temp t<k> is the k-th op's dst.
+    """
 
     def __init__(self) -> None:
         self.slots: list[Slot] = []
         self.ops: list[Op] = []
         self._interned: dict[tuple, int] = {}
-        self._temps = 0
 
-    def _new(self, slot: Slot) -> int:
-        self.slots.append(slot)
-        return len(self.slots) - 1
-
-    def _intern(self, key: tuple, make) -> int:
-        """Slot id of key, adding the slot make() builds on a miss."""
-        sid = self._interned.get(key)
-        if sid is None:
-            sid = self._interned[key] = self._new(make())
+    def _intern(self, key: tuple, *fields) -> int:
+        """Add Slot(*fields) under key; callers have looked key up."""
+        sid = self._interned[key] = len(self.slots)
+        self.slots.append(Slot(*fields))
         return sid
 
     def h(self, i: int) -> int:
-        return self._intern(("h", i), lambda: Slot(f"h{i + 1}", "h", index=i))
+        sid = self._interned.get(("h", i))
+        if sid is None:
+            sid = self._intern(("h", i), f"h{i + 1}", "h", i)
+        return sid
 
     def y(self, i: int) -> int:
-        return self._intern(("y", i), lambda: Slot(f"y{i + 1}", "y", index=i))
+        sid = self._interned.get(("y", i))
+        if sid is None:
+            sid = self._intern(("y", i), f"y{i + 1}", "y", i)
+        return sid
 
     def entry(self, p: int, j: int, form: LinForm) -> int:
-        return self._intern(("e", p, j), lambda: Slot(
-            f"e{p + 1}_{j + 1}", "entry", recipe=form))
+        sid = self._interned.get(("e", p, j))
+        if sid is None:
+            sid = self._intern(("e", p, j), f"e{p + 1}_{j + 1}", "entry", -1,
+                               form)
+        return sid
 
     def const(self, name: str, value: float) -> int:
-        return self._intern(("const", name),
-                            lambda: Slot(name, "const", value=value))
+        sid = self._interned.get(("const", name))
+        if sid is None:
+            sid = self._intern(("const", name), name, "const", -1, None, value)
+        return sid
 
     def rsqrt2(self) -> int:
         return self.const("rsqrt2", RSQRT2)
 
-    def emit(self, kind: str, *args: int) -> int:
-        dst = self._new(Slot(f"t{self._temps + 1}", "temp"))
-        self._temps += 1
+    def emit(self, kind: str, args: tuple[int, ...]) -> int:
+        dst = len(self.slots)
+        self.slots.append(Slot(f"t{len(self.ops) + 1}", "temp"))
         self.ops.append(Op(kind, dst, args))
         return dst
 
+    # ADD and MUL commute; their operands are stored in ascending order.
     def add(self, a: int, b: int) -> int:
-        return self.emit("ADD", *sorted((a, b)))
+        return self.emit("ADD", (a, b) if a <= b else (b, a))
 
     def mul(self, a: int, b: int) -> int:
-        return self.emit("MUL", *sorted((a, b)))
+        return self.emit("MUL", (a, b) if a <= b else (b, a))
 
     def neg(self, a: int) -> int:
-        return self.emit("NEG", a)
+        return self.emit("NEG", (a,))
 
     def div4(self, a: int) -> int:
-        return self.emit("DIV4", a)
+        return self.emit("DIV4", (a,))
 
     def sum_chain(self, slots: list[int]) -> int:
         if not slots:
@@ -331,8 +345,9 @@ def count_ops(sched: Schedule) -> OpCount:
     return OpCount(rm, ra)
 
 
-_UFUNCS = {("ADD", 2): np.add, ("MUL", 2): np.multiply,
-           ("NEG", 1): np.negative, ("DIV4", 1): np.divide}
+# ufunc of each op kind, by operand count
+_BINARY = {"ADD": np.add, "MUL": np.multiply}
+_UNARY = {"NEG": np.negative, "DIV4": np.divide}
 
 
 class _Plan(NamedTuple):
@@ -358,16 +373,17 @@ def _compile_plan(sched: Schedule) -> _Plan:
     entry slot is bound just before the first op that reads it, as
     ``linform_value`` sums it: 0.0 plus each term in stored order.
     """
-    ops = sched.ops
+    ops, slots = sched.ops, sched.slots
     end = len(ops)
-    last = {}
+    last = [end] * len(slots)  # index of the op that reads a slot last
     for k, op in enumerate(ops):
         for a in op.args:
             last[a] = k
     for o in sched.outputs:
         last[o] = end  # past every op, so never freed
+    inputs = {"h": (0, sched.n_h), "y": (sched.n_h, sched.n_y)}
     consts: dict = {}
-    bound: dict[int, int] = {}
+    bound: list[int | None] = [None] * len(slots)  # operand of each slot
     free: list[int] = []
     steps: list[tuple] = []
     registers = 0
@@ -398,47 +414,52 @@ def _compile_plan(sched: Schedule) -> _Plan:
         return acc
 
     def bind(sid: int) -> int:
-        slot = sched.slots[sid]
-        if slot.kind == "h" or slot.kind == "y":
-            first, n = (0, sched.n_h) if slot.kind == "h" \
-                else (sched.n_h, sched.n_y)
-            if not 0 <= slot.index < n:
-                raise RuntimeError(f"slot {slot.name} reads {slot.kind} "
-                                   f"index {slot.index} of {n}")
-            bound[sid] = first + slot.index
-        elif slot.kind == "const":
-            bound[sid] = const(sid, slot.value)
-        elif slot.kind == "entry":
-            bound[sid] = bind_entry(slot.recipe)
+        name, kind, index, recipe, value = slots[sid]
+        if kind in inputs:
+            first, n = inputs[kind]
+            if not 0 <= index < n:
+                raise RuntimeError(f"slot {name} reads {kind} index {index} "
+                                   f"of {n}")
+            r = first + index
+        elif kind == "const":
+            r = const(sid, value)
+        elif kind == "entry":
+            r = bind_entry(recipe)
         else:
-            raise RuntimeError(f"unbound slot {slot.name}")
-        return bound[sid]
+            raise RuntimeError(f"unbound slot {name}")
+        bound[sid] = r
+        return r
 
-    for k, op in enumerate(ops):
-        args = op.args
+    for k, (kind, dst, args) in enumerate(ops):
         a = args[0]
-        x = bound[a] if a in bound else bind(a)
-        y = None
+        x = bound[a]
+        if x is None:
+            x = bind(a)
         if len(args) == 2:
+            ufunc = _BINARY.get(kind)
             b = args[1]
-            y = bound[b] if b in bound else bind(b)
+            y = bound[b]
+            if y is None:
+                y = bind(b)
             if last[b] == k:
                 last[b] = end  # so that a repeated operand is freed once
                 if y < 0:
                     free.append(y)
+        else:
+            ufunc = _UNARY.get(kind) if len(args) == 1 else None
+            y = None
+        if ufunc is None:
+            raise RuntimeError(f"unknown op {kind!r} of {len(args)} "
+                               f"operands")
         if last[a] == k:
             last[a] = end
             if x < 0:
                 free.append(x)
-        ufunc = _UFUNCS.get((op.kind, len(args)))
-        if ufunc is None:
-            raise RuntimeError(f"unknown op {op.kind!r} of {len(args)} "
-                               f"operands")
-        if op.kind == "DIV4":
+        if kind == "DIV4":
             x, y = const("one", 1.0), x
-        bound[op.dst] = dst = alloc()
-        steps.append((ufunc, x, y, dst))
-    outputs = tuple(bound[o] if o in bound else bind(o)
+        bound[dst] = out = alloc()
+        steps.append((ufunc, x, y, out))
+    outputs = tuple(bind(o) if bound[o] is None else bound[o]
                     for o in sched.outputs)
     return _Plan(registers, tuple(value for _, value in consts.values()),
                  tuple(steps), outputs)

@@ -281,6 +281,15 @@ def test_degenerate_channel_rejected():
         decode_Fprime(code, zero, np.zeros(4), const)
 
 
+def test_decode_lattice_rejects_complex_ycheck():
+    # np.asarray(..., dtype=float) would decode arange(4) + 1j as arange(4)
+    code, const = get_code("g2"), get_constellation("4qam")
+    lat = build_check_H(code, np.ones((2, 1), dtype=complex))
+    with pytest.raises(ValueError, match="^ycheck is complex; "
+                                         ".*vectorize_received"):
+        decode_lattice(lat, np.arange(4) + 1j, const)
+
+
 def test_soft_symbols_view():
     const = get_constellation("4qam")
     lat = build_check_H(get_code("g2"), np.array([[1.0 + 0j], [0.0]]))

@@ -291,6 +291,20 @@ def test_batch_evaluation_rejects_complex_h():
         evaluate_lattice_batch(sym, np.ones((3, 4)) + 1j)
 
 
+def test_channel_sigma_rejects_complex_h():
+    # c * sum(h * h) of a complex h is complex: 8j for g2 at ones(4) + 1j
+    with pytest.raises(ValueError, match="^h is complex; "
+                                         ".*vectorize_received"):
+        channel_sigma(get_code("g2"), np.ones(4) + 1j)
+
+
+def test_from_h_rejects_complex_h():
+    # np.asarray(..., dtype=float) would keep only the real part
+    with pytest.raises(ValueError, match="^h is complex; "
+                                         ".*vectorize_received"):
+        ChannelRealization.from_h(np.ones(4) + 1j, 2, 1)
+
+
 def add_at_oracle(sym, h):
     """H_check by np.add.at over the stored scatter terms."""
     pos, hidx, coef = sym.scatter()

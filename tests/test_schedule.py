@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -382,3 +383,105 @@ def test_dump_names_and_comments():
 def test_dump_scaled_entries_render_root():
     text = dump_schedule(generate_schedule(get_code("h3"), 1, 0))
     assert "r*h5" in text
+
+
+# SHA-256 of dump_schedule(s) and of repr(s) for every built-in code, m and
+# level: the emitted programs, slot names and operand order, byte for byte.
+GOLDEN_PROGRAMS = {
+    ("g2", 1, 0): (
+        "81111fb90936b7bc89f94021f60a55f90e7527576e37cb8458c95b2f42d628c4",
+        "4497382e73c5213bd44cda8f8713931280aac692b4ac43430f37db242e883ce8"),
+    ("g2", 1, 1): (
+        "b734c215d3749ce367bc83d732af7944c3f0a4e26c380fd9f8dbfbc007433438",
+        "6d79dbed698b809715de0d59be5dc8ec1ad54db6afc0fbc190fb73a09074b917"),
+    ("g2", 1, 2): (
+        "66e34225a524bc2705990bca9f5e2c389145039f2ddf7818a484d37cbe0aba50",
+        "bf7953c90540a23734e02c1a4352747c5c2e5af1cb96290e55c9ab8d858460b3"),
+    ("g2", 2, 0): (
+        "5083565fc3e442f57d88c55523f43d00838cc774401b487070bea1689abbee60",
+        "e39c895c737cd4e56deea3b144187f8f946597c69e86807c45610e318170d802"),
+    ("g2", 2, 1): (
+        "c4b19006bdb04ad465409c2c1fb3fa9ee282f1b17c176e29a3e2f6047b3717e4",
+        "d3a1f3646940a06468dcd8d926598017ac7ac006db33fe43bc787d0d98e6d3a6"),
+    ("g2", 2, 2): (
+        "a968512e6c68690c1f46ca775c1c5bf1e6c0ade3ab2bcb1b4bfa9ea05be619e9",
+        "ee71171965c62cfbe67683375eaabbc4033282035137b07c0a0754fca617ef73"),
+    ("g3", 1, 0): (
+        "f8d9b70b2c5d737887591b1048579668b5c87d60b9836812268651854c42a0b2",
+        "2ce9a7fd24a71d35955a73c59826900ad9bf9185033e397576d8d8be84976a5b"),
+    ("g3", 1, 1): (
+        "0682e4af4f1bd3f72e720b62c65b1c714e774c6757a55d05d91899043305bdcc",
+        "8cfb33323765c59b5c485a3f0801ff27936edae64853a4ab4760f3c634422aad"),
+    ("g3", 1, 2): (
+        "287b855a0041f4e5aee0e0bd8574238e10e913e32b6bf1180ae2f81b8a59c1e5",
+        "7113295d98bfe27c10d977f1f0a760d33de421083bd0e982416d49722dcc98c1"),
+    ("g3", 2, 0): (
+        "e8c79cb926546187a4459ea1364e7477339a325caeaa131fcb70b586f92519b7",
+        "a7b1e50b5e999aea79d01b74d1b91cbab45a60453f113dff12cd0aa89d6839e7"),
+    ("g3", 2, 1): (
+        "5e96a96baa483933fb0d596929c7ed8a3365b9b911e59596d070488c12f77d65",
+        "fcde9bd881ebe08f9124bc478e7bbee830c8e19970d0eeacddd9c467367e3ce7"),
+    ("g3", 2, 2): (
+        "4cd96b05759badf8da67c7e52796f8c5367dbb82fc4798094b8b934ff35719f9",
+        "47e38ef37f87d43d45acb0f1880e07fe7d5544163267ceae3cae1e8e77f93129"),
+    ("g4", 1, 0): (
+        "f04812898e918085662756e2a87d94937b48f06e59b979a23892f175ff6a089b",
+        "41cc7c7edb09d93242b780d0dc983f5fe0f6c164c24db85a2c443af4d8ad6826"),
+    ("g4", 1, 1): (
+        "730b27850a895666400ab01704a37a688d0fddca7406db4c340f6d40bce3b6e2",
+        "06dac8b7ee1991f166dfa72a93afe55b7b664d5fc1238ed54dfba38b48e135c6"),
+    ("g4", 1, 2): (
+        "d1f8a1cda801ca9674f2f1e5f7e05fb7732f3cc87184d949de8bfbfe2dceab4d",
+        "0afbb2a07df318a8b204c9911e1022ec7209fab5b128ede5a1e6407f567561fa"),
+    ("g4", 2, 0): (
+        "b88a8331e25753a2a1b101daea01e5714e1e427bfb985ff004cc07fd1ff810e4",
+        "3482e5efbdf655ae80dc17e13675864bd97c37da272e8d16e9af40d75a969db6"),
+    ("g4", 2, 1): (
+        "588d28c321d0f937bf0945e400eea079b745be8c0aba7f226753d784fe71b5c8",
+        "e626fc67e5b2d4ad1b900bdbace6b5e35cd59d49ce1f72c078341fc3339a8b26"),
+    ("g4", 2, 2): (
+        "dea60389b98d54293b722145139baf27d918f5eada21a19310d1f731f87e1681",
+        "e197d9e6e16d5dfb2f530057f1b2f4b93f7888a93b78bdfeec5a8d7b5fc609c6"),
+    ("h3", 1, 0): (
+        "c2257e665c3df058763d4b3f357baf98ff8e972ca21b77de3e4c26171bc9fcaa",
+        "b22e8468df917147fd51955f03be34d252066fa1baae4f1630bf03592c95edc8"),
+    ("h3", 1, 1): (
+        "eedb7ee53566c6d01e0c06cde8a96ff67939b5de32fdf48e03b06677112216d7",
+        "7a1be4927fd87885c6ecb14750b17ca56c530d5a6eb38ff72db7f953cac380d0"),
+    ("h3", 1, 2): (
+        "74e6ad7d52d4ddaa850d5c150cf328d6f4dcce7b2af6624f75b7be04310d0da5",
+        "7c049fceec3cf2c4c70d30bd154575de3cf042c2468bb0809285257903930d3d"),
+    ("h3", 2, 0): (
+        "3071670f6f00cd425d0b640cad1e997908dae882b6f003460d119c19ad62a1ba",
+        "5399cc09cfe0bde5bdcc5eb63b8048a48bea806bde520d7d25dfff77ea14b44f"),
+    ("h3", 2, 1): (
+        "e60b2cc4b4dc0875d8dd08a7af8487f7bd77a613395926a67d11635e69780c92",
+        "cac9a0815c2d1fd68016a3ac8487244bd531044ffd15973eac03bc9d2915ae22"),
+    ("h3", 2, 2): (
+        "de81cfa7b8427addd45e875ff99f0a6bc37a497a34a30158cedb62df88e4edaa",
+        "0f18b488dcec50d9b627ba395255cae6ea55fccc6d44c5360615b4222d336605"),
+}
+
+
+@pytest.mark.parametrize("cid", builtin_code_ids())
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("level", LEVELS)
+def test_golden_programs(cid, m, level):
+    sched = generate_schedule(get_code(cid), m, level)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (dump_schedule(sched), repr(sched)))
+    assert digests == GOLDEN_PROGRAMS[cid, m, level]
+
+
+def test_ops_and_slots_are_immutable_and_hashable():
+    sched = generate_schedule(get_code("h3"), 1, 0)
+    op = sched.ops[0]
+    slot = next(s for s in sched.slots if s.kind == "entry")
+    for obj, field in ((op, "dst"), (slot, "recipe")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    assert hash(op) == hash(Op(op.kind, op.dst, op.args))
+    assert hash(slot) == hash(Slot(slot.name, slot.kind, slot.index,
+                                   slot.recipe, slot.value))
+    assert len(set(sched.ops)) == len(sched.ops)
+    assert len({s for s in sched.slots if s.kind == "temp"}) == len(sched.ops)
