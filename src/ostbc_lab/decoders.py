@@ -14,10 +14,20 @@ independent scalar quantizations of the matched-filter output
   reads ``hc``; the others may be passed ``None``),
 * ``trace``   -- complex trace form, [Re tr(H^H A_k^H Y), Im tr(H^H B_k^H Y)];
   the imaginary part enters with a plus sign because the matched filter for
-  Im(s_k) is the B_k direction,
-* ``f``       -- the complex equivalent-channel pair (F_a, F_b) applied to the
-  vectorized receive block z,
-* ``fprime``  -- its real 2MT x 2K form applied to z'.
+  Im(s_k) is the B_k direction.  P = Y H^H is one two-operand einsum, and
+  since A_k and B_k are real, the real view of P times one constant
+  (2TN, 2K) matrix per code gives both traces of every k, interleaved,
+* ``f``       -- the complex equivalent-channel pair (F_a, F_b) from
+  ``build_F`` applied to the vectorized receive block z: Re(F^H z), taken
+  as Re(z^H F) with one (1 x MT) row product per matrix,
+* ``fprime``  -- its real 2MT x 2K form F' = [[Re F_a, Re F_b], [Im F_a,
+  Im F_b]], assembled from ``build_F``'s output with the F_a and F_b
+  columns interleaved, applied to z' = (Re z; Im z), so that F'^T z' comes
+  out in the interleaved order.
+
+No route reads another's result: ``f`` and ``fprime`` each call
+``build_F``, itself one GEMM per matrix over every (trial, receive antenna)
+pair.  Only per-code constant matrices are cached.
 
 All four agree up to rounding, and dividing by sigma and quantizing per
 component gives the decision.  ``exhaustive_indices`` is the brute-force
@@ -101,7 +111,7 @@ class DecodedMessage:
     xhat : ndarray, shape (2K,)
         Quantized real components.
     shat : ndarray, shape (K,)
-        The same decision as complex symbols.
+        The same decision as complex symbols, a view of xhat.
     indices : ndarray, shape (2K,)
         Component alphabet indices of each decision.
     """
@@ -121,29 +131,52 @@ def _lattice(code, h, hc, yv):
     return np.einsum("...pj,...p->...j", hc, yv)
 
 
+@lru_cache(maxsize=32)
+def _trace_weights(code: DispersionCode) -> np.ndarray:
+    """The trace route's constant (2TN, 2K) real matrix for one code.
+
+    Row 2 (t N + l) + c meets Re (c = 0) or Im (c = 1) of P[t, l]; column
+    2k holds A_k[t, l] on the Re rows and column 2k + 1 holds B_k[t, l] on
+    the Im rows, zero elsewhere.
+    """
+    k, t, n = code.k, code.t, code.n
+    w = np.zeros((t * n, 2, k, 2))
+    w[:, 0, :, 0] = code.a.reshape(k, t * n).T
+    w[:, 1, :, 1] = code.b.reshape(k, t * n).T
+    w = w.reshape(2 * t * n, 2 * k)
+    w.setflags(write=False)
+    return w
+
+
 def _trace(code, h, hc, yv):
-    hh = unvectorize(h, code.n).conj()
-    y = unvectorize(yv, code.t)
-    return interleave(np.einsum("ktl,...lj,...tj->...k", code.a, hh, y).real,
-                      np.einsum("ktl,...lj,...tj->...k", code.b, hh, y).imag)
+    # P = Y H^H (..., T, N) and tr(H^H A_k^H Y) = sum_tl A_k[t, l] P[t, l]
+    # with A_k real, so the real view of P times _trace_weights gives
+    # Re tr(H^H A_k^H Y) and Im tr(H^H B_k^H Y) already interleaved.
+    p = np.einsum("...tj,...lj->...tl", unvectorize(yv, code.t),
+                  unvectorize(h, code.n).conj())
+    p = p.reshape(p.shape[:-2] + (-1,)).view(float)
+    return p @ _trace_weights(code)
 
 
 def _f(code, h, hc, yv):
+    # Re(F^H z) = Re(z^H F): one conjugated (..., 1, MT) row times each F
     fa, fb = build_F(code, unvectorize(h, code.n))
-    zv = deinterleave(yv)
-    return interleave(np.einsum("...pk,...p->...k", fa.conj(), zv).real,
-                      np.einsum("...pk,...p->...k", fb.conj(), zv).real)
+    zh = deinterleave(yv).conj()[..., None, :]
+    return interleave((zh @ fa)[..., 0, :].real, (zh @ fb)[..., 0, :].real)
 
 
 def _fprime(code, h, hc, yv):
     fa, fb = build_F(code, unvectorize(h, code.n))
-    fc = np.concatenate([fa, fb], axis=-1)
-    fprime = np.concatenate([fc.real, fc.imag], axis=-2)
-    zv = deinterleave(yv)
-    zprime = np.concatenate([zv.real, zv.imag], axis=-1)
-    # F'^T z' comes out grouped (Re s_1..s_K; Im s_1..s_K); interleave it.
-    grouped = np.einsum("...pj,...p->...j", fprime, zprime)
-    return interleave(grouped[..., :code.k], grouped[..., code.k:])
+    mt, k = fa.shape[-2:]
+    # F' = [[Re F_a, Re F_b], [Im F_a, Im F_b]] with the F_a and F_b columns
+    # interleaved, so F'^T z' comes out as (Re s_1, Im s_1, ...).
+    fprime = np.empty(fa.shape[:-2] + (2 * mt, 2 * k))
+    fprime[..., :mt, 0::2] = fa.real
+    fprime[..., :mt, 1::2] = fb.real
+    fprime[..., mt:, 0::2] = fa.imag
+    fprime[..., mt:, 1::2] = fb.imag
+    zprime = np.concatenate([yv[..., 0::2], yv[..., 1::2]], axis=-1)
+    return (zprime[..., None, :] @ fprime)[..., 0, :]
 
 
 MATCHED_FILTERS = {"lattice": _lattice, "trace": _trace, "f": _f,
@@ -160,21 +193,27 @@ def _check_sigma(sigma: float) -> None:
         raise DegenerateChannelError("sigma = 0; all-zero channel realization")
 
 
+def _check_shape(name: str, value: np.ndarray, want: tuple[int, ...]) -> None:
+    """Reject a received block or vector that would otherwise broadcast."""
+    if value.shape != want:
+        raise ValueError(f"{name} has shape {value.shape}, expected {want}")
+
+
 def decode_lattice(lat: RealLattice, ycheck,
                    constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
     """ML decode from the real lattice: xhat = Hc^T ycheck / sigma."""
     _check_sigma(lat.sigma)
     _require_real("ycheck", ycheck)
     ycheck = np.asarray(ycheck, dtype=float)
+    _check_shape("ycheck", ycheck, lat.hcheck.shape[:1])
     z = _lattice(None, None, lat.hcheck, ycheck) / lat.sigma
     return SoftEstimate(z=z), _decide(z, constellation)
 
 
-def _decode_route(name: str, code: DispersionCode, channel, yv: np.ndarray,
+def _decode_route(name: str, code: DispersionCode, ch, yv: np.ndarray,
                   constellation: Constellation):
-    """One-trial decode through a complex route; yv is the interleaved
-    received vector."""
-    ch = _as_channel(code, channel)
+    """One-trial decode through a complex route; ch is the resolved
+    channel and yv the interleaved received vector of matching length."""
     sigma = float(channel_sigma(code, ch.h))
     _check_sigma(sigma)
     z = MATCHED_FILTERS[name](code, ch.h, None, yv) / sigma
@@ -183,24 +222,36 @@ def _decode_route(name: str, code: DispersionCode, channel, yv: np.ndarray,
 
 def decode_trace(code: DispersionCode, channel, Y,
                  constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
-    """ML decode via complex traces of the matched dispersion directions."""
-    return _decode_route("trace", code, channel, vectorize_received(Y),
+    """ML decode via complex traces of the matched dispersion directions;
+    Y is the T x M received block."""
+    ch = _as_channel(code, channel)
+    Y = np.asarray(Y)
+    _check_shape("Y", Y, (code.t, ch.m))
+    return _decode_route("trace", code, ch, vectorize_received(Y),
                          constellation)
 
 
 def decode_F(code: DispersionCode, channel, z_vec,
              constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
-    """ML decode from the complex equivalent channel applied to z = vec(Y)."""
-    return _decode_route("f", code, channel, vectorize_received(z_vec),
+    """ML decode from the complex equivalent channel applied to z = vec(Y),
+    a vector of length MT."""
+    ch = _as_channel(code, channel)
+    z_vec = np.asarray(z_vec)
+    _check_shape("z", z_vec, (ch.m * code.t,))
+    return _decode_route("f", code, ch, vectorize_received(z_vec),
                          constellation)
 
 
 def decode_Fprime(code: DispersionCode, channel, zprime,
                   constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
-    """ML decode from the real 2MT x 2K equivalent channel applied to z'."""
-    zprime = np.asarray(zprime, dtype=float).ravel()
+    """ML decode from the real 2MT x 2K equivalent channel applied to the
+    real vector z' = (Re z; Im z) of length 2MT."""
+    ch = _as_channel(code, channel)
+    _require_real("zprime", zprime, "(Re z; Im z), as complex_stack builds it")
+    zprime = np.asarray(zprime, dtype=float)
+    _check_shape("zprime", zprime, (2 * ch.m * code.t,))
     half = zprime.size // 2
-    return _decode_route("fprime", code, channel,
+    return _decode_route("fprime", code, ch,
                          interleave(zprime[:half], zprime[half:]),
                          constellation)
 

@@ -263,11 +263,12 @@ def evaluate_lattice(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     return evaluate_lattice_batch(sym, h[None, :])[0]
 
 
-def _require_real(name: str, value) -> None:
-    """Reject a complex value where the interleaved real vector belongs."""
+def _require_real(name: str, value,
+                  form: str = "its interleaved real vector, as "
+                              "vectorize_received builds it") -> None:
+    """Reject a complex value where a real vector (`form`) belongs."""
     if np.iscomplexobj(value):
-        raise ValueError(f"{name} is complex; pass its interleaved real "
-                         f"vector, as vectorize_received builds it")
+        raise ValueError(f"{name} is complex; pass {form}")
 
 
 def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
@@ -357,22 +358,41 @@ def channel_sigma(code: DispersionCode, h: np.ndarray) -> np.ndarray:
     return code.c * np.sum(h * h, axis=-1)
 
 
+@lru_cache(maxsize=32)
+def _f_columns(code: DispersionCode) -> tuple[np.ndarray, np.ndarray]:
+    """build_F's constant (N, T K) complex matrices for one code: entry
+    [l, t K + k] is A_k[t, l], resp. 1j B_k[t, l]."""
+    shape = (code.n, code.t * code.k)
+    ca = code.a.transpose(2, 1, 0).reshape(shape).astype(complex)
+    cb = 1j * code.b.transpose(2, 1, 0).reshape(shape)
+    for arr in (ca, cb):
+        arr.setflags(write=False)
+    return ca, cb
+
+
 def build_F(code: DispersionCode, channel) -> tuple[np.ndarray, np.ndarray]:
     """Complex mixing matrices: F_a[:, k] = vec(A_k H), F_b[:, k] = 1j vec(B_k H).
 
     vec() stacks columns, so row p corresponds to time slot p mod T at
     receive antenna p div T.  Both matrices have shape (MT, K); a complex
     channel array (..., N, M) gives a stack of them, (..., MT, K).
+
+    Each matrix is one GEMM over every (trial, receive antenna) pair: the
+    columns H[:, j] of all channels, stacked as the rows of one (... M, N)
+    matrix, times the code's constant (N, T K) matrix whose column t K + k
+    is row t of A_k (resp. of 1j B_k).  The product's row for (trial, j)
+    holds entries j T + t of every vec(A_k H) in (t, k) order, so it
+    reshapes to (..., MT, K) without a copy.
     """
     hm = channel.matrix if isinstance(channel, ChannelRealization) \
         else np.asarray(channel, dtype=complex)
     if hm.ndim < 2 or hm.shape[-2] != code.n:
         raise ValueError(f"channel must be (..., {code.n}, M) for code "
                          f"{code.id!r}, got {hm.shape}")
+    ca, cb = _f_columns(code)
+    rows = np.swapaxes(hm, -1, -2).reshape(-1, code.n)
     shape = hm.shape[:-2] + (-1, code.k)
-    fa = np.einsum("ktl,...lj->...jtk", code.a, hm).reshape(shape)
-    fb = 1j * np.einsum("ktl,...lj->...jtk", code.b, hm).reshape(shape)
-    return fa, fb
+    return (rows @ ca).reshape(shape), (rows @ cb).reshape(shape)
 
 
 def vectorize_received(y_block) -> np.ndarray:
@@ -383,7 +403,7 @@ def vectorize_received(y_block) -> np.ndarray:
 
 def unvectorize(v: np.ndarray, rows: int) -> np.ndarray:
     """Batched inverse of ``vectorize_received``: (..., 2 rows M) reals ->
-    complex matrices (..., rows, M)."""
+    complex matrices (..., rows, M), a view like ``deinterleave``'s."""
     flat = deinterleave(v)
     cols = flat.shape[-1] // rows
     return flat.reshape(flat.shape[:-1] + (cols, rows)).swapaxes(-1, -2)
@@ -404,11 +424,17 @@ def interleave(re, im) -> np.ndarray:
 
 def deinterleave(yv: np.ndarray) -> np.ndarray:
     """Inverse of ``interleave`` as complex values: (..., 2n) reals ->
-    (..., n) complex."""
+    (..., n) complex.
+
+    The result is a complex128 view of the Re/Im pairs, with no arithmetic:
+    when yv is already a C-contiguous float64 array it shares yv's memory
+    (and its write flag), so writing to one writes to the other.  Copy it
+    before writing when yv must stay as it is.
+    """
     yv = np.asarray(yv, dtype=float)
     if yv.ndim < 1 or yv.shape[-1] % 2:
         raise ValueError("interleaved vector must have even length")
-    return yv[..., 0::2] + 1j * yv[..., 1::2]
+    return np.ascontiguousarray(yv).view(np.complex128)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from ostbc_lab.constellation import (
     quantize_indices,
 )
 from ostbc_lab.decoders import (
+    MATCHED_FILTERS,
     DegenerateChannelError,
     SearchSpaceError,
     decode_F,
@@ -26,9 +27,13 @@ from ostbc_lab.decoders import (
 from ostbc_lab.lattice import (
     ChannelRealization,
     RealLattice,
+    build_F,
     build_check_H,
+    build_symbolic_lattice,
     complex_stack,
     deinterleave,
+    evaluate_lattice_batch,
+    interleave,
 )
 
 R = 1.0 / math.sqrt(2.0)
@@ -165,6 +170,131 @@ def test_four_routes_agree(cid, m):
         for osoft, odec in others:
             assert np.max(np.abs(osoft.z - soft.z)) <= 1e-9 * scale
             np.testing.assert_array_equal(odec.indices, dec.indices)
+
+
+def test_decode_lattice_rejects_wrong_length():
+    code, const = get_code("g2"), get_constellation("4qam")
+    lat = build_check_H(code, np.ones((2, 1), dtype=complex))
+    with pytest.raises(ValueError, match=r"^ycheck has shape \(1,\), "
+                                         r"expected \(4,\)"):
+        decode_lattice(lat, np.ones(1), const)
+
+
+def test_decode_F_rejects_wrong_length():
+    code, const = get_code("g2"), get_constellation("4qam")
+    for m, z in ((1, np.ones(1, dtype=complex)), (2, np.ones(2))):
+        with pytest.raises(ValueError, match=rf"^z has shape \({z.size},\), "
+                                             rf"expected \({2 * m},\)"):
+            decode_F(code, np.ones((2, m), dtype=complex), z, const)
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (2, 2), (2,)])
+def test_decode_trace_rejects_wrong_block_shape(shape):
+    code, const = get_code("g2"), get_constellation("4qam")
+    y = np.ones(shape, dtype=complex)
+    with pytest.raises(ValueError, match=r"^Y has shape .*, "
+                                         r"expected \(2, 1\)"):
+        decode_trace(code, np.ones((2, 1), dtype=complex), y, const)
+
+
+def test_decode_Fprime_rejects_complex_and_wrong_length():
+    code, const = get_code("g2"), get_constellation("4qam")
+    h = np.ones((2, 1), dtype=complex)
+    with pytest.raises(ValueError, match=r"^zprime is complex; "
+                                         r"pass \(Re z; Im z\)"):
+        decode_Fprime(code, h, np.ones(4) + 1j, const)
+    with pytest.raises(ValueError, match=r"^zprime has shape \(6,\), "
+                                         r"expected \(4,\)"):
+        decode_Fprime(code, h, np.ones(6), const)
+
+
+# -- batched matched filters ------------------------------------------------
+#
+# The einsum formulations the complex routes had before they ran as GEMMs,
+# kept as the reference for the batched forms: build_F, the trace form, F
+# and F' applied to the received vector, each on (..., 2NM) channel and
+# (..., 2MT) received vectors.
+
+def ref_unvectorize(v, rows):
+    flat = v[..., 0::2] + 1j * v[..., 1::2]
+    cols = flat.shape[-1] // rows
+    return flat.reshape(flat.shape[:-1] + (cols, rows)).swapaxes(-1, -2)
+
+
+def ref_build_F(code, hm):
+    shape = hm.shape[:-2] + (-1, code.k)
+    fa = np.einsum("ktl,...lj->...jtk", code.a, hm).reshape(shape)
+    fb = 1j * np.einsum("ktl,...lj->...jtk", code.b, hm).reshape(shape)
+    return fa, fb
+
+
+def ref_trace(code, h, yv):
+    hh = ref_unvectorize(h, code.n).conj()
+    y = ref_unvectorize(yv, code.t)
+    return interleave(np.einsum("ktl,...lj,...tj->...k", code.a, hh, y).real,
+                      np.einsum("ktl,...lj,...tj->...k", code.b, hh, y).imag)
+
+
+def ref_f(code, h, yv):
+    fa, fb = ref_build_F(code, ref_unvectorize(h, code.n))
+    zv = yv[..., 0::2] + 1j * yv[..., 1::2]
+    return interleave(np.einsum("...pk,...p->...k", fa.conj(), zv).real,
+                      np.einsum("...pk,...p->...k", fb.conj(), zv).real)
+
+
+def ref_fprime(code, h, yv):
+    fa, fb = ref_build_F(code, ref_unvectorize(h, code.n))
+    fc = np.concatenate([fa, fb], axis=-1)
+    fprime = np.concatenate([fc.real, fc.imag], axis=-2)
+    zprime = np.concatenate([yv[..., 0::2], yv[..., 1::2]], axis=-1)
+    grouped = np.einsum("...pj,...p->...j", fprime, zprime)
+    return interleave(grouped[..., :code.k], grouped[..., code.k:])
+
+
+REFERENCE_ROUTES = {"trace": ref_trace, "f": ref_f, "fprime": ref_fprime}
+
+
+@pytest.mark.parametrize("cid", builtin_code_ids())
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("lead", [(), (7,), (2, 3)])
+def test_batched_routes_match_reference(cid, m, lead):
+    # hc is withheld from the complex routes: each must compute the matched
+    # filter from h alone.
+    assert set(MATCHED_FILTERS) == {"lattice", *REFERENCE_ROUTES}
+    code = get_code(cid)
+    rng = np.random.default_rng(41)
+    h = rng.standard_normal(lead + (2 * code.n * m,))
+    yv = rng.standard_normal(lead + (2 * m * code.t,))
+    sym = build_symbolic_lattice(code, m)
+    hc = evaluate_lattice_batch(sym, h.reshape(-1, h.shape[-1])) \
+        .reshape(lead + (sym.rows, sym.cols))
+    want = MATCHED_FILTERS["lattice"](code, h, hc, yv)
+    assert want.shape == lead + (2 * code.k,)
+    atol = 1e-12 * np.max(np.abs(want))
+    for name, ref in REFERENCE_ROUTES.items():
+        got = MATCHED_FILTERS[name](code, h, None, yv)
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, ref(code, h, yv), rtol=1e-12,
+                                   atol=atol, err_msg=name)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("cid", builtin_code_ids())
+@pytest.mark.parametrize("m", [1, 2])
+def test_build_F_stack_matches_per_channel(cid, m):
+    code = get_code(cid)
+    rng = np.random.default_rng(43)
+    hm = sample_channel_matrix(rng, 6 * code.n, m).reshape(2, 3, code.n, m)
+    fa, fb = build_F(code, hm)
+    assert fa.shape == fb.shape == (2, 3, m * code.t, code.k)
+    ra, rb = ref_build_F(code, hm)
+    np.testing.assert_allclose(fa, ra, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(fb, rb, rtol=1e-14, atol=1e-14)
+    for i in np.ndindex(2, 3):
+        one_a, one_b = build_F(code, ChannelRealization.from_matrix(hm[i]))
+        np.testing.assert_allclose(fa[i], one_a, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(fb[i], one_b, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("cid", builtin_code_ids())

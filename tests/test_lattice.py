@@ -123,6 +123,19 @@ def test_vectorize_round_trip():
     np.testing.assert_array_equal(back, y)
 
 
+def test_deinterleave_is_a_view():
+    # A C-contiguous float64 vector is reinterpreted in place; any other
+    # input is copied first and gives the same values.
+    yv = np.array([1.0, -2.0, -0.0, 4.0])
+    z = deinterleave(yv)
+    assert np.shares_memory(z, yv)
+    np.testing.assert_array_equal(z, [1 - 2j, 4j])
+    strided = np.arange(16.0).reshape(2, 8)[:, ::2]
+    np.testing.assert_array_equal(deinterleave(strided),
+                                  strided[:, 0::2] + 1j * strided[:, 1::2])
+    np.testing.assert_array_equal(deinterleave([1, 2]), [1 + 2j])
+
+
 @settings(deadline=None)
 @given(st.lists(st.integers(0, 3), max_size=3), st.integers(1, 6),
        st.sampled_from(builtin_code_ids()), st.integers(1, 2),
