@@ -259,6 +259,9 @@ def draw_trial(rng: np.random.Generator, n_h: int, k: int, size: int,
     """Unscaled draws of one trial from `rng`, in order: (channel normals
     (n_h,), symbol indices (k,), noise normals (n_noise,), redraws), an
     all-zero channel (never seen in practice) redrawn and counted."""
+    if n_h < 1:
+        # an empty channel is all zero, so the redraw loop would never end
+        raise ValueError(f"n_h must be >= 1, got {n_h}")
     h = rng.standard_normal(n_h)
     redraws = 0
     while not h.any():

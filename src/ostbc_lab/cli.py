@@ -178,9 +178,13 @@ def cmd_simulate(args) -> int:
                        snr_db=_parse_snr(args.snr), trials=args.trials,
                        seed=args.seed, m=args.m,
                        decoders=tuple(args.decoders.split(",")))
-    result = run_ber(config)
     prefix = args.out or f"ber-{config.code}-{config.constellation}"
     json_path, csv_path = Path(f"{prefix}.json"), Path(f"{prefix}.csv")
+    # fail before the sweep, not after it
+    if not json_path.parent.is_dir():
+        raise FileNotFoundError(
+            f"--out directory {str(json_path.parent)!r} does not exist")
+    result = run_ber(config)
     json_path.write_text(ber_to_json(result))
     csv_path.write_text(ber_to_csv(result))
     print(f"seed={config.seed} agreement={result.agreement:.17g} "

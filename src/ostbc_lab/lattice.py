@@ -13,13 +13,14 @@ Channel coefficients are flattened the same way: h_(2l-1+2(j-1)N) = Re h_{l,j}
 and h_(2l+2(j-1)N) = Im h_{l,j} (1-based), i.e. Re/Im interleaved down each
 channel column.
 
-H_check is assembled by the complex route: F_a has columns vec(A_k H), F_b has
-columns 1j * vec(B_k H), the real stack F' = [[Re F_a, Re F_b],
-[Im F_a, Im F_b]] relates grouped vectors, and two pure index permutations
-(grouped <-> interleaved) reorder rows and columns into H_check.  The
-construction here is carried out symbolically: every H_check entry is kept as
-an exact integer-tagged linear form over the flattened channel coefficients,
-so the matrix doubles as input to the operation scheduler and evaluates
+H_check is built straight in that interleaved layout.  With p = jT + t for
+time slot t at receive antenna j (all indices 0-based), the tag of A_k at
+(t, l) puts Re h_{l,j} into entry (2p, 2k) and Im h_{l,j} into (2p+1, 2k),
+and that of B_k puts -Im h_{l,j} into (2p, 2k+1) and Re h_{l,j} into
+(2p+1, 2k+1): the real and imaginary parts of vec(A_k H) and 1j vec(B_k H).
+Every entry is kept as an exact integer-tagged linear form over the
+flattened channel coefficients, so the matrix doubles as input to the
+operation scheduler, and one term table cached on the lattice evaluates it
 deterministically.
 
 This module alone owns that layout and sigma: ``interleave`` / ``deinterleave``
@@ -44,7 +45,6 @@ __all__ = [
     "SymbolicLattice",
     "RealLattice",
     "LatticeReport",
-    "interleaving_perm",
     "h_index",
     "build_symbolic_lattice",
     "build_F",
@@ -56,7 +56,6 @@ __all__ = [
     "interleave",
     "deinterleave",
     "verify_lattice",
-    "evaluate_lattice",
     "evaluate_lattice_batch",
     "linform_value",
     "write_hcheck_csv",
@@ -71,16 +70,6 @@ LinForm = tuple[Term, ...]
 def h_index(l: int, j: int, imag: bool, n: int) -> int:
     """Flattened index of Re/Im of channel coefficient h_{l+1, j+1} (0-based l, j)."""
     return 2 * l + (1 if imag else 0) + 2 * j * n
-
-
-def interleaving_perm(n: int) -> np.ndarray:
-    """Index map p with interleaved[i] = grouped[p[i]] for n complex values.
-
-    Grouped layout is (Re_1..Re_n, Im_1..Im_n); interleaved is
-    (Re_1, Im_1, ..., Re_n, Im_n).
-    """
-    p = np.arange(n, dtype=np.intp)
-    return interleave(p, n + p)
 
 
 @dataclass(frozen=True)
@@ -156,54 +145,35 @@ class SymbolicLattice:
         channel index within an entry, which fixes the floating-point
         accumulation order everywhere the matrix is evaluated.
         """
-        return _scatter_arrays(self)
+        pos, hidx, coef = (np.concatenate(a) for a in zip(*self._terms))
+        # without rank 0's padding; a stable sort keeps each entry's rank order
+        real = np.flatnonzero(hidx < 2 * self.code.n * self.m)
+        order = real[np.argsort(pos[real], kind="stable")]
+        return pos[order], hidx[order], coef[order]
 
     @cached_property
-    def _ranked_terms(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The scatter terms split by rank within their entry, in row-major
-        entry order.  Element 0 is (h index, coefficient) of every entry's
-        first term, each of shape (entries,): an entry with no term points
-        at the zero column that ``evaluate_lattice_batch`` appends to h
-        (index 2NM), with coefficient 0.0, so rank 0 is one gather-multiply
-        over the whole matrix.  Element r >= 1 is (entry, h index,
-        coefficient) of the (r+1)-th terms only, one per entry that has
-        one.  Adding rank by rank adds an entry's terms in the stored order.
-        Cached on the instance: a cache keyed by the lattice would hash its
-        nested entries on every evaluation."""
-        pos, hidx, coef = _scatter_arrays(self)
-        # an entry's terms are adjacent: rank = index - index of its first
-        # term
-        i = np.arange(pos.size)
-        first = np.r_[True, pos[1:] != pos[:-1]]
-        rank = i - np.maximum.accumulate(np.where(first, i, 0))
-        idx = np.full(self.rows * self.cols, 2 * self.code.n * self.m,
-                      dtype=np.intp)
-        val = np.zeros(idx.size)
-        idx[pos[first]], val[pos[first]] = hidx[first], coef[first]
-        out = [(idx, val)]
-        for r in range(1, int(rank.max(initial=0)) + 1):
-            at = rank == r
-            out.append((pos[at], hidx[at], coef[at]))
-        for arr in (a for terms in out for a in terms):
-            arr.setflags(write=False)
-        return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _scatter_arrays(sym: SymbolicLattice):
-    pos, hidx, coef = [], [], []
-    cols = sym.cols
-    for i, row in enumerate(sym.entries):
-        for j, form in enumerate(row):
-            for idx, tag in form:
-                pos.append(i * cols + j)
-                hidx.append(idx)
-                coef.append(_TAG_VALUES[tag])
-    out = (np.asarray(pos, dtype=np.intp), np.asarray(hidx, dtype=np.intp),
-           np.asarray(coef))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    def _terms(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The term table: for each rank r, the (entry, h index, coefficient)
+        arrays of the entries' (r+1)-th terms, entries numbered row-major.
+        Rank 0 gives an entry with no term the zero column that
+        ``evaluate_lattice_batch`` appends to h (index 2NM) and coefficient
+        0.0, so it is one gather over the whole matrix; ranks r >= 1 list
+        only the entries that have such a term.  Cached on the instance: a
+        cache keyed by the lattice would hash its nested entries on every
+        evaluation.
+        """
+        pad = ((2 * self.code.n * self.m, 0),)
+        forms = [form or pad for row in self.entries for form in row]
+        table = []
+        for r in range(max(map(len, forms))):
+            terms = [(e, *form[r]) for e, form in enumerate(forms)
+                     if len(form) > r]
+            pos, hidx, tag = np.array(terms, dtype=np.intp).T.copy()
+            coef = np.array([_TAG_VALUES[t] for t in tag.tolist()])
+            for arr in (pos, hidx, coef):
+                arr.setflags(write=False)
+            table.append((pos, hidx, coef))
+        return tuple(table)
 
 
 def linform_value(form: LinForm, h: np.ndarray) -> np.ndarray:
@@ -219,48 +189,30 @@ def linform_value(form: LinForm, h: np.ndarray) -> np.ndarray:
 def build_symbolic_lattice(code: DispersionCode, m: int) -> SymbolicLattice:
     """Construct the exact 2MT x 2K lattice matrix for M receive antennas.
 
-    Assembles symbolic F_a / F_b column by column, stacks real over imaginary
-    parts into F', and applies the two interleaving permutations as index
-    maps.  The result is cached per (code, M).
+    One pass over (k, j, t, l) appends each nonzero tag's term straight to
+    its interleaved entry (see the module docstring), so every entry lists
+    its terms in ascending channel index.  The result is cached per (code, M).
     """
     if m < 1:
         raise ValueError("receive antenna count must be positive")
-    n, t, k = code.n, code.t, code.k
-    mt = m * t
-    # grouped real stack F': rows 0..MT-1 = Re, MT..2MT-1 = Im;
-    # cols 0..K-1 from F_a, K..2K-1 from F_b
-    fprime = [[() for _ in range(2 * k)] for _ in range(2 * mt)]
-    for ki in range(k):
-        a_k, b_k = code.a_tags[ki], code.b_tags[ki]
+    n, t = code.n, code.t
+    entries = [[[] for _ in range(2 * code.k)] for _ in range(2 * m * t)]
+    for k, (a_k, b_k) in enumerate(zip(code.a_tags, code.b_tags)):
         for j in range(m):
             for ti in range(t):
                 p = j * t + ti
-                re_a, im_a, re_b, im_b = [], [], [], []
+                re_row, im_row = entries[2 * p], entries[2 * p + 1]
                 for l in range(n):
-                    tag = a_k[ti][l]
-                    if tag:
-                        re_a.append((h_index(l, j, False, n), tag))
-                        im_a.append((h_index(l, j, True, n), tag))
-                    tag = b_k[ti][l]
-                    if tag:
-                        # F_b holds 1j * (B_k H): Re = -Im(B_k H), Im = +Re(B_k H)
-                        re_b.append((h_index(l, j, True, n), -tag))
-                        im_b.append((h_index(l, j, False, n), tag))
-                fprime[p][ki] = tuple(re_a)
-                fprime[mt + p][ki] = tuple(im_a)
-                fprime[p][k + ki] = tuple(re_b)
-                fprime[mt + p][k + ki] = tuple(im_b)
-    perm_y = interleaving_perm(mt)
-    perm_s = interleaving_perm(k)
-    entries = tuple(
-        tuple(fprime[perm_y[i]][perm_s[jj]] for jj in range(2 * k))
-        for i in range(2 * mt))
-    return SymbolicLattice(code=code, m=m, entries=entries)
-
-
-def evaluate_lattice(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
-    """Numeric H_check at one coefficient vector, shape (2MT, 2K)."""
-    return evaluate_lattice_batch(sym, h[None, :])[0]
+                    re, im = h_index(l, j, False, n), h_index(l, j, True, n)
+                    if a := a_k[ti][l]:
+                        re_row[2 * k].append((re, a))
+                        im_row[2 * k].append((im, a))
+                    if b := b_k[ti][l]:
+                        # 1j * (B_k H): Re = -Im(B_k H), Im = +Re(B_k H)
+                        re_row[2 * k + 1].append((im, -b))
+                        im_row[2 * k + 1].append((re, b))
+    return SymbolicLattice(code=code, m=m, entries=tuple(
+        tuple(map(tuple, row)) for row in entries))
 
 
 def _require_real(name: str, value,
@@ -275,23 +227,26 @@ def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     """Numeric H_check for a batch of coefficient vectors (B, 2NM) -> (B, 2MT, 2K).
 
     Each entry is 0.0 plus its terms in stored order, bit for bit (-0.0
-    included) what ``np.add.at`` over ``sym.scatter()`` gives.  The first
-    term of every entry is one contiguous gather of h's columns (with a zero
-    column appended for entries that have no term) times a per-entry
+    included) what ``np.add.at`` over ``sym.scatter()`` gives.  Rank 0 of
+    the lattice's term table is one contiguous gather of h's columns (with a
+    zero column appended for entries that have no term) times a per-entry
     coefficient, into a (B, entries) array that is already the C-contiguous
     result; a sum that starts at +0.0 is never -0.0, hence the added 0.0.
     Each further rank gathers, scales and adds its terms at only the entries
-    that have a term at that rank.
+    that have a term at that rank.  Pass one vector h as h[None].
     """
     _require_real("h", h)
+    need = 2 * sym.code.n * sym.m
+    if np.ndim(h) != 2:
+        raise ValueError(f"h must be a (B, 2NM) = (B, {need}) batch, got "
+                         f"shape {np.shape(h)}; pass h[None] for one vector")
     b, width = h.shape
-    if width != 2 * sym.code.n * sym.m:
-        raise ValueError(f"h has {width} coefficients, "
-                         f"need {2 * sym.code.n * sym.m}")
+    if width != need:
+        raise ValueError(f"h has {width} coefficients, need {need}")
     ext = np.empty((b, width + 1))
     ext[:, :width] = h
     ext[:, width] = 0.0
-    (idx, coef), *rest = sym._ranked_terms
+    (_, idx, coef), *rest = sym._terms
     out = np.take(ext, idx, axis=1)
     out *= coef
     out += 0.0
@@ -342,7 +297,7 @@ def build_check_H(code: DispersionCode, channel) -> RealLattice:
     """
     ch = _as_channel(code, channel)
     sym = build_symbolic_lattice(code, ch.m)
-    hc = evaluate_lattice(sym, ch.h)
+    hc = evaluate_lattice_batch(sym, ch.h[None])[0]
     sigma = float(channel_sigma(code, ch.h))
     col = float(np.dot(hc[:, 0], hc[:, 0]))
     if abs(col - sigma) > 1e-9 * max(sigma, 1e-300):

@@ -108,6 +108,9 @@ def _decoder_names(decoders) -> tuple[str, ...]:
     """One decoder name or several, with "all" selecting every route."""
     if isinstance(decoders, str):
         decoders = (decoders,)
+    if not decoders:
+        raise ValueError(f"decoders must be nonempty; pick from "
+                         f"{DECODER_NAMES + ('all',)}")
     if "all" in decoders:
         return DECODER_NAMES
     bad = [d for d in decoders if d not in DECODER_NAMES]
@@ -115,6 +118,15 @@ def _decoder_names(decoders) -> tuple[str, ...]:
         raise ValueError(f"unknown decoders {bad}; pick from "
                          f"{DECODER_NAMES + ('all',)}")
     return tuple(decoders)
+
+
+def _check_channel(snr_db, m: int) -> None:
+    """Reject SNRs that are NaN or -inf and receive antenna counts below 1,
+    the checks that ``SimConfig`` and ``run_trial`` share."""
+    if any(math.isnan(s) or s == -math.inf for s in snr_db):
+        raise ValueError("snr_db values must be finite or +inf")
+    if m < 1:
+        raise ValueError("m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -141,8 +153,6 @@ class SimConfig:
         object.__setattr__(self, "decoders", _decoder_names(self.decoders))
         if not self.snr_db:
             raise ValueError("snr_db must be nonempty")
-        if any(math.isnan(s) or s == -math.inf for s in self.snr_db):
-            raise ValueError("snr_db values must be finite or +inf")
         for field in ("trials", "seed", "m"):
             try:
                 object.__setattr__(self, field, operator.index(getattr(self, field)))
@@ -152,8 +162,7 @@ class SimConfig:
             raise ValueError("trials must be in [1, 2**32)")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        _check_channel(self.snr_db, self.m)
 
 
 @dataclass(frozen=True)
@@ -248,8 +257,11 @@ def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
     code and constellation may be ids or resolved objects.  The draws come
     from `rng` one by one; transmit and decode are a batch of one through
     the function the sweep runs on each chunk, so a sweep decomposes exactly
-    into these trials.
+    into these trials.  SNR, m and decoders are checked as ``SimConfig``
+    checks them.
     """
+    _check_channel((snr_db,), m)
+    decoders = _decoder_names(decoders)
     code = get_code(code) if isinstance(code, str) else code
     const = get_constellation(constellation) \
         if isinstance(constellation, str) else constellation
@@ -258,7 +270,7 @@ def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
     h *= RSQRT2
     noise *= _noise_scale(snr_db)
     comp, decoded, agree = _run_batch(code, const, m, h[None], sym[None],
-                                      noise[None], _decoder_names(decoders))
+                                      noise[None], decoders)
     return TrialResult(
         sent=comp[0],
         decoded={name: DecodedMessage.from_indices(idx[0], const)

@@ -8,6 +8,7 @@ import pytest
 
 import ostbc_lab
 
+from ostbc_lab import cli
 from ostbc_lab.cli import main, table_csv
 from ostbc_lab.codes import format_code_text, get_code
 
@@ -112,6 +113,15 @@ def test_verify_corrupted_file_fails(capsys, tmp_path):
     assert json.loads(out)["pass"] is False
 
 
+def test_verify_malformed_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "short.code"
+    path.write_text(format_code_text(get_code("g2")).rsplit("\n", 2)[0] + "\n")
+    rc, out, err = run(capsys, "verify", "--file", str(path), "--trials", "5")
+    assert rc == 2
+    assert out == ""
+    assert "error: block 'B2' is truncated" in err
+
+
 def test_verify_file_with_wrong_declared_c_fails(capsys, tmp_path):
     # a g2 file that declares c = 2: the dispersion matrices give c = 1
     text = format_code_text(get_code("g2")).replace(" c=1", " c=2", 1)
@@ -181,6 +191,19 @@ def test_simulate_outputs(capsys, tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "r1.json").read_text())
     assert doc["schema"] == "ostbc-lab/1"
     assert doc["config"]["trials"] == 200
+
+
+def test_simulate_out_into_missing_directory_fails_before_sweep(
+        capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_ber", lambda config: calls.append(config))
+    rc, out, err = run(capsys, "simulate", "--code", "g2", "--mod", "4qam",
+                       "--snr", "0", "--trials", "10",
+                       "--out", str(tmp_path / "missing" / "x"))
+    assert rc == 2
+    assert out == ""
+    assert "error: --out directory" in err and "missing" in err
+    assert calls == []
 
 
 def test_simulate_unknown_constellation(capsys, tmp_path):

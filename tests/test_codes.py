@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ostbc_lab.codes import (
     RSQRT2,
     CodeFormatError,
+    DispersionCode,
     OrthogonalityError,
     UnknownCodeError,
     builtin_code_ids,
@@ -190,6 +191,40 @@ def test_corrupted_code_fails_orthogonality(tmp_path):
     bad = parse_code_text("\n".join(lines) + "\n")
     with pytest.raises(OrthogonalityError):
         measure_c(bad)
+
+
+G2_TEXT = format_code_text(get_code("g2"))
+
+
+@pytest.mark.parametrize("text,match", [
+    ("", "empty code description"),
+    ("# a comment\n\n", "empty code description"),
+    (G2_TEXT.replace("A2\n", "A3\n"), "expected block 'A2', got 'A3'"),
+    (G2_TEXT[:G2_TEXT.index("A2\n")], "expected block 'A2', got '<eof>'"),
+    (G2_TEXT.replace("A1\n1 0\n", "A1\n1 0 0\n"),
+     "block 'A1': expected 2 entries per row, got 3"),
+    (G2_TEXT.replace("A1\n1 0\n", "A1\n1 x\n"),
+     "block 'A1': bad entry token 'x'"),
+    (G2_TEXT + "extra\n", "trailing content after last block: 'extra'"),
+    ("code z N=2 T=2 K=0 c=1\n", "dimensions and scale must be positive"),
+], ids=["empty", "comments-only", "misnamed-block", "missing-block",
+        "entry-count", "unknown-token", "trailing", "bad-dimensions"])
+def test_parse_rejects_malformed_text(text, match):
+    with pytest.raises(CodeFormatError, match=match):
+        parse_code_text(text)
+
+
+@pytest.mark.parametrize("kw,match", [
+    ({"c": 0}, "dimensions and scale must be positive"),
+    ({"a_tags": (((1,),), ((1,),))}, "expected 1 dispersion matrices, got 2"),
+    ({"b_tags": (((1, 0),),)}, "dispersion matrices must be 1x1"),
+    ({"a_tags": (((3,),),)}, "invalid entry tag 3"),
+], ids=["scale", "matrix-count", "matrix-shape", "tag"])
+def test_dispersion_code_rejects(kw, match):
+    base = dict(id="x", n=1, t=1, k=1, c=1, a_tags=(((1,),),),
+                b_tags=(((1,),),))
+    with pytest.raises(ValueError, match=match):
+        DispersionCode(**{**base, **kw})
 
 
 def test_malformed_text_rejected():

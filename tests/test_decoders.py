@@ -103,6 +103,14 @@ def test_quantize_empty_alphabet():
         quantize(0.0, np.array([]))
 
 
+@pytest.mark.parametrize("alpha", [[1.0, -1.0], [-1.0, -1.0, 1.0]],
+                         ids=["descending", "repeated"])
+def test_quantize_rejects_unsorted_alphabet(alpha):
+    # the midpoint search would return indices of the wrong points
+    with pytest.raises(ValueError, match="strictly ascending"):
+        quantize_indices(np.zeros(3), alpha)
+
+
 @given(st.floats(-3, 3), st.sampled_from(["4qam", "16qam"]))
 def test_quantize_is_nearest_point(z, name):
     alpha = get_constellation(name).component_alphabet

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from ostbc_lab.lattice import (
     channel_sigma,
     complex_stack,
     deinterleave,
-    evaluate_lattice,
     evaluate_lattice_batch,
     h_index,
     interleave,
-    interleaving_perm,
     linform_value,
     verify_lattice,
     unvectorize,
@@ -106,10 +105,6 @@ def test_from_h_round_trip():
     np.testing.assert_array_equal(ChannelRealization.from_matrix(ch.matrix).h, h)
 
 
-def test_interleaving_perm():
-    np.testing.assert_array_equal(interleaving_perm(3), [0, 3, 1, 4, 2, 5])
-
-
 def test_vectorize_received_example():
     y = np.array([[1 + 2j], [3 + 4j]])
     np.testing.assert_array_equal(vectorize_received(y), [1, 2, 3, 4])
@@ -187,7 +182,7 @@ def test_numeric_rows_match_goldens(key):
     rng = np.random.default_rng(5)
     for _ in range(100):
         ch = ChannelRealization.from_matrix(sample_channel_matrix(rng, code.n, m))
-        hc = evaluate_lattice(sym, ch.h)
+        hc = evaluate_lattice_batch(sym, ch.h[None])[0]
         for r, row_text in GOLDEN_ROWS[key].items():
             want = [linform_value(parse_token(tok), ch.h)
                     for tok in row_text.split()]
@@ -275,14 +270,48 @@ def test_wrong_channel_rows_rejected():
         build_check_H(get_code("g2"), np.zeros((3, 1), dtype=complex))
 
 
+def test_channel_and_lattice_shape_checks():
+    code = get_code("g2")
+    with pytest.raises(ValueError, match="must be 2-D"):
+        ChannelRealization.from_matrix(np.ones(2))
+    with pytest.raises(ValueError, match="expected 8 real coefficients"):
+        ChannelRealization.from_h(np.ones(6), 2, 2)
+    for shape in [(3, 1), (2,), (4, 3, 1)]:
+        with pytest.raises(ValueError, match=r"channel must be \(\.\.\., 2, M\)"):
+            build_F(code, np.ones(shape, dtype=complex))
+    with pytest.raises(ValueError, match="receive antenna count must be "
+                                         "positive"):
+        build_symbolic_lattice(code, 0)
+
+
+def test_wrong_declared_c_fails_sigma_cross_check():
+    # a g2 that declares c = 2: its lattice's first column gives ||H||^2
+    # while c ||H||^2 is twice that
+    code = replace(get_code("g2"), c=2)
+    with pytest.raises(ArithmeticError, match="sigma routes disagree"):
+        build_check_H(code, np.array([[1.0 + 0.5j], [-0.25 + 1j]]))
+
+
 def test_batch_evaluation_matches_single():
+    # a row of a batch is the batch of that one row
     code = get_code("g3")
     sym = build_symbolic_lattice(code, 2)
     rng = np.random.default_rng(17)
     hb = rng.standard_normal((8, 12))
     batch = evaluate_lattice_batch(sym, hb)
     for i in range(8):
-        np.testing.assert_array_equal(batch[i], evaluate_lattice(sym, hb[i]))
+        np.testing.assert_array_equal(batch[i],
+                                      evaluate_lattice_batch(sym, hb[i:i + 1])[0])
+
+
+@pytest.mark.parametrize("shape", [(4,), (), (2, 3, 4)],
+                         ids=["vector", "scalar", "3-D"])
+def test_batch_evaluation_rejects_non_batch_h(shape):
+    # without the check one vector fails with "not enough values to unpack"
+    sym = build_symbolic_lattice(get_code("g2"), 1)
+    with pytest.raises(ValueError, match=r"\(B, 2NM\) = \(B, 4\) batch, "
+                                         r".*pass h\[None\]"):
+        evaluate_lattice_batch(sym, np.ones(shape))
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "wide"])

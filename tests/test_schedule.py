@@ -7,6 +7,7 @@ import pytest
 
 from ostbc_lab.codes import DispersionCode, builtin_code_ids, get_code
 from ostbc_lab.lattice import ChannelRealization, build_check_H, \
+    build_symbolic_lattice, channel_sigma, evaluate_lattice_batch, \
     linform_value
 from ostbc_lab.schedule import (
     LEVELS,
@@ -206,6 +207,32 @@ def test_execute_batch_matches_loop():
     assert batch.shape == (7, 2 * code.k)
     for i in range(7):
         np.testing.assert_array_equal(batch[i], execute_schedule(sched, hb[i], yb[i]))
+
+
+# Row 0 of A_1 mixes a 1/sqrt(2) tag with a unit one, so its entries scale
+# the root term inline; row 1 is all 1/sqrt(2) in a column that is not, so
+# its entries scale after their core; B_1 = 0 leaves column 1 empty, a sum of
+# nothing.  No built-in code reaches these compiler branches.
+MIXED = DispersionCode(id="mixed", n=2, t=2, k=1, c=1,
+                       a_tags=(((2, 1), (2, 2)),), b_tags=(((0, 0), (0, 0)),))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("level", LEVELS)
+def test_execute_mixed_root_code_matches_lattice(m, level):
+    # MIXED is not orthogonal, so its lattice is read directly: Hc^T y over
+    # the sigma each level computes (c ||H||^2 at L1 and L2, the first
+    # column's squared norm at L0).  Its counts are not in level order
+    # (at m = 1, L1 has RA 10 against L0's 9), so none is asserted.
+    sched = generate_schedule(MIXED, m, level)
+    rng = np.random.default_rng([m, level])
+    h = rng.standard_normal((64, 2 * MIXED.n * m))
+    yv = rng.standard_normal((64, 2 * m * MIXED.t))
+    hc = evaluate_lattice_batch(build_symbolic_lattice(MIXED, m), h)
+    sigma = (np.sum(hc[:, :, 0] ** 2, axis=1) if level == 0
+             else channel_sigma(MIXED, h))
+    want = np.einsum("bpj,bp->bj", hc, yv) / sigma[:, None]
+    assert np.allclose(execute_schedule(sched, h, yv), want, rtol=1e-9)
 
 
 def test_execute_rejects_wrong_lengths():

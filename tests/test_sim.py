@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +68,45 @@ def test_noisy_trial_decoders_agree():
         assert tr.redraws == 0
 
 
+@pytest.mark.parametrize("kw,match", [
+    ({"snr_db": math.nan}, r"snr_db values must be finite or \+inf"),
+    ({"snr_db": -math.inf}, r"snr_db values must be finite or \+inf"),
+    ({"decoders": ()}, "decoders must be nonempty"),
+], ids=["nan-snr", "-inf-snr", "no-decoders"])
+def test_run_trial_rejects(kw, match):
+    # without the checks a NaN soft output quantizes to the top index
+    # silently, and no decoder fails with an IndexError
+    kw = {"snr_db": 0.0, **kw}
+    with pytest.raises(ValueError, match=match):
+        run_trial("g2", "4qam", rng=substream(1, 0, 0), **kw)
+
+
+# Calls on an empty channel vector, which the all-zero redraw would retry
+# forever; each runs in a child process under a timeout, so that a
+# regression fails instead of hanging the suite.
+EMPTY_CHANNEL_CALLS = {
+    "run_trial-m0": ("from ostbc_lab.sim import run_trial; "
+                     "run_trial('g2', '4qam', 0.0, "
+                     "np.random.default_rng(0), m=0)", "m must be >= 1"),
+    "draw_trial-n_h0": ("from ostbc_lab._substreams import draw_trial; "
+                        "draw_trial(np.random.default_rng(0), 0, 2, 4, 4)",
+                        "n_h must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_CHANNEL_CALLS)
+def test_empty_channel_is_rejected_not_redrawn_forever(call):
+    code, message = EMPTY_CHANNEL_CALLS[call]
+    env = dict(os.environ)
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", f"import numpy as np; {code}"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert f"ValueError: {message}" in proc.stderr
+
+
 # -- configuration -----------------------------------------------------------
 
 def test_config_normalization(monkeypatch):
@@ -100,6 +142,9 @@ def test_config_normalization(monkeypatch):
     {"seed": 1.5},
     {"trials": 200.0},
     {"m": 1.5},
+    # run_ber would fail with an IndexError, in a pool worker when there
+    # are several
+    {"decoders": ()},
 ])
 def test_config_rejects(kw):
     base = dict(code="g2", constellation="4qam", snr_db=(0.0,),
