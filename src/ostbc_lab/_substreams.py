@@ -27,11 +27,13 @@ with whole-array operations, with no Python loop over trials or normals:
   with Lemire's method on 32-bit halves, low half of a word first:
   ``(u32 * size) >> 32``, never rejecting.
 
-Most rows hold no slow word among their first n_h + ceil(K/2) + n_noise
-words: 87% of g2 rows at M=1, 50% of g3 rows at M=2.  Those words are then, in
-order, the channel normals, the symbol words and the noise normals, so every
-row is first read that way by column slices; the wedge test and the attempt
-parsing run only on the rows with a slow word there, and overwrite them.
+Most rows hold no slow word among the n_h channel words and the n_noise
+noise words of their first n_h + ceil(K/2) + n_noise words: 89% of g2 rows
+at M=1, 52% of g3 rows at M=2.  Those words are then, in order, the channel
+normals, the symbol words and the noise normals, so every row is first read
+that way by column slices; the wedge test and the attempt parsing run only on
+the rows with a slow channel or noise word there, and overwrite them.  A
+slow symbol word needs no parse: symbols are read from raw words.
 The sign bit is folded into 512-entry tables indexed by a word's low 9 bits:
 ``rabs * -wi == -(rabs * wi)`` exactly.
 
@@ -52,7 +54,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["philox_words", "draw", "trial_rng", "draw_trial", "draw_block"]
+__all__ = ["philox_words", "words_per_trial", "draw", "trial_rng",
+           "draw_trial", "draw_block"]
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _MASK52 = np.uint64((1 << 52) - 1)
@@ -214,6 +217,12 @@ def _parse(words, n_h, k, size, n_noise):
     return h, sym, noise, ~(bad_h | bad_n)
 
 
+def words_per_trial(n_h: int, k: int, n_noise: int) -> int:
+    """Raw words ``draw`` takes per trial: n_h + ceil(k/2) + n_noise and
+    ``_SLACK`` spare words, rounded up to whole 4-word Philox blocks."""
+    return 4 * -(-(n_h + (k + 1) // 2 + n_noise + _SLACK) // 4)
+
+
 def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
          n_noise: int):
     """Unscaled draws of trials `trials` of `point`: (channel normals
@@ -222,10 +231,12 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
     Rows not ``ok`` hold arbitrary values and must be redrawn per trial.
     `size` must be a power of two below 2**32.
 
-    A row whose first n_h + ceil(k/2) + n_noise words are all fast is read
-    straight from those columns: channel normals, symbol words, noise
-    normals.  Only the rows with a slow word among them are parsed word by
-    word, and their draws overwrite the sliced ones.
+    A row whose first n_h channel words and the n_noise noise words after
+    its ceil(k/2) symbol words are all fast is read straight from those
+    columns: channel normals, symbol words, noise normals.  A symbol word is
+    read raw, so whether it is slow does not matter.  Only the rows with a
+    slow channel or noise word are parsed word by word, and their draws
+    overwrite the sliced ones.
     """
     if size < 1 or size & (size - 1) or size >= 2 ** 32:
         raise ValueError("size must be a power of two below 2**32")
@@ -233,11 +244,12 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
     sym_words = (k + 1) // 2
     lead = n_h + sym_words + n_noise
     words = philox_words(seed, np.uint64(point << 32) | trials,
-                         -(-(lead + _SLACK) // 4))
+                         words_per_trial(n_h, k, n_noise) // 4)
     x, slow = _ziggurat(words[:, :lead])
     h, noise = x[:, :n_h], x[:, n_h + sym_words:]
     sym = _symbols(words[:, n_h + np.arange(k) // 2], size)
     ok = np.ones(len(trials), dtype=bool)
+    slow[:, n_h:n_h + sym_words] = False
     slow_rows = np.flatnonzero(slow.any(axis=1))
     if slow_rows.size:
         # keep only the parsed rows' words, which lowers the peak memory

@@ -236,10 +236,11 @@ def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     that have a term at that rank.  Pass one vector h as h[None].
     """
     _require_real("h", h)
+    h = np.asarray(h, dtype=float)
     need = 2 * sym.code.n * sym.m
-    if np.ndim(h) != 2:
+    if h.ndim != 2:
         raise ValueError(f"h must be a (B, 2NM) = (B, {need}) batch, got "
-                         f"shape {np.shape(h)}; pass h[None] for one vector")
+                         f"shape {h.shape}; pass h[None] for one vector")
     b, width = h.shape
     if width != need:
         raise ValueError(f"h has {width} coefficients, need {need}")

@@ -10,12 +10,17 @@ noise-free model (the noise draw still happens, keeping streams aligned).
 Determinism: each trial draws its channel, symbol indices and noise from
 its own counter-keyed substream (``_substreams``), so results are
 independent of chunking, worker count, and trial interleaving.  The sweep
-draws ``_DRAW`` trials at a time with ``_substreams.draw_block``, and
+draws a block of trials at a time with ``_substreams.draw_block``, and
 ``run_trial`` draws its one trial from the generator it is given with
 ``_substreams.draw_trial``; both then scale the draws, the channel by
-1/sqrt(2) and the noise by sqrt(N0/2).  Each draw block is transmitted
-and decoded by one call: Hc, the transmit product, the matched filters and
-the exhaustive search run ``_CHUNK`` trials at a time, since Hc
+1/sqrt(2) and the noise by sqrt(N0/2).  A draw block holds as many trials
+as fit in ``_DRAW_WORDS`` raw Philox words (``_block_trials``, at least
+one): each NumPy call of the draw has a fixed cost whatever its size, and
+the words set the draw's peak memory, so a code that takes few words per
+trial draws more trials per call for the same memory (g3 at M=2, 56 words
+a trial, draws 512; g2 at M=1, 20 words, draws 1433).  Each draw block is
+transmitted and decoded by one call: Hc, the transmit product, the matched
+filters and the exhaustive search run ``_CHUNK`` trials at a time, since Hc
 (B x 2MT x 2K), the evaluation and matched-filter arrays and the exhaustive
 search's per-trial factor arrays set peak memory (``decoders._SLICE``
 bounds only the search's metric array); the symbol to component mapping,
@@ -25,11 +30,11 @@ per NumPy call is spread over the whole block.  The error count compares
 integer component indices.  ``run_trial`` transmits and decodes through the
 same function, a batch of one.
 
-Workers: a sweep is cut into (point, block) tasks of ``_TASK`` trials, a
-whole number of draw blocks, the last task of each point clipped.  A task
-returns four integer counters (symbol errors, bit errors, redraws,
-disagreements), and a point's result is the sum of its tasks' counters, so
-one-point runs spread over workers as well as many-point runs.
+Workers: a sweep is cut into (point, block) tasks of ``_TASK`` trials, the
+last task of each point clipped, and so is the last draw block of each
+task.  A task returns four integer counters (symbol errors, bit errors,
+redraws, disagreements), and a point's result is the sum of its tasks'
+counters, so one-point runs spread over workers as well as many-point runs.
 ``OSTBC_LAB_THREADS`` asks for workers; the sweep uses no more than it has
 tasks or than the CPUs the process may run on.  One worker runs the tasks in
 this process; more run them in a process pool fed from a window of
@@ -96,12 +101,12 @@ DECODER_NAMES = (*MATCHED_FILTERS, "exhaustive")
 # Trials per Hc evaluation, transmit product and matched filter; bounds
 # those arrays.
 _CHUNK = 128
-# Trials drawn, quantized and counted together, in larger blocks than the
-# decode chunks (see above).
-_DRAW = 512
-# Trials per (point, block) task, the unit of work a pool worker takes: a
-# whole number of draw blocks (see above).
-_TASK = 16 * _DRAW
+# Raw Philox words per draw block, whose trials are drawn, quantized and
+# counted together: 512 trials of g3 at M=2, the most words per trial of the
+# built-in codes (see above).
+_DRAW_WORDS = 512 * 56
+# Trials per (point, block) task, the unit of work a pool worker takes.
+_TASK = 8192
 
 
 def _decoder_names(decoders) -> tuple[str, ...]:
@@ -118,6 +123,14 @@ def _decoder_names(decoders) -> tuple[str, ...]:
         raise ValueError(f"unknown decoders {bad}; pick from "
                          f"{DECODER_NAMES + ('all',)}")
     return tuple(decoders)
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int, for integer types only (no floats, no strings)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
 
 
 def _check_channel(snr_db, m: int) -> None:
@@ -154,10 +167,7 @@ class SimConfig:
         if not self.snr_db:
             raise ValueError("snr_db must be nonempty")
         for field in ("trials", "seed", "m"):
-            try:
-                object.__setattr__(self, field, operator.index(getattr(self, field)))
-            except TypeError:
-                raise ValueError(f"{field} must be an integer") from None
+            object.__setattr__(self, field, _integer(field, getattr(self, field)))
         if not 1 <= self.trials < 2 ** 32:
             raise ValueError("trials must be in [1, 2**32)")
         if not 0 <= self.seed < 2 ** 64:
@@ -260,13 +270,15 @@ def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
     into these trials.  SNR, m and decoders are checked as ``SimConfig``
     checks them.
     """
+    m = _integer("m", m)
     _check_channel((snr_db,), m)
     decoders = _decoder_names(decoders)
     code = get_code(code) if isinstance(code, str) else code
     const = get_constellation(constellation) \
         if isinstance(constellation, str) else constellation
-    h, sym, noise, redraws = _substreams.draw_trial(
-        rng, 2 * code.n * m, code.k, const.size, 2 * m * code.t)
+    n_h, k, n_noise = _draw_dims(code, m)
+    h, sym, noise, redraws = _substreams.draw_trial(rng, n_h, k, const.size,
+                                                    n_noise)
     h *= RSQRT2
     noise *= _noise_scale(snr_db)
     comp, decoded, agree = _run_batch(code, const, m, h[None], sym[None],
@@ -287,10 +299,23 @@ def _count_errors(sent_comp, dec_comp, gray):
     return int(sym_err), int(np.sum(bits))
 
 
+def _draw_dims(code, m: int) -> tuple[int, int, int]:
+    """(channel normals, symbol indices, noise normals) of one trial."""
+    return 2 * code.n * m, code.k, 2 * m * code.t
+
+
+def _block_trials(code, m: int) -> int:
+    """Trials per draw block: as many as fit in `_DRAW_WORDS` words, at
+    least one."""
+    return max(1, _DRAW_WORDS
+               // _substreams.words_per_trial(*_draw_dims(code, m)))
+
+
 def _simulate_block(config: SimConfig, point: int, start: int,
                     stop: int) -> tuple[int, int, int, int]:
-    """Sweep trials [start, stop) of one SNR point `_DRAW` trials at a
-    time, running every selected decoder on each draw block.
+    """Sweep trials [start, stop) of one SNR point a draw block
+    (``_block_trials``) at a time, the last one clipped, running every
+    selected decoder on each draw block.
 
     Returns the counters (symbol errors, bit errors, redraws,
     disagreements), which add up over the blocks of a point.
@@ -298,12 +323,13 @@ def _simulate_block(config: SimConfig, point: int, start: int,
     code = get_code(config.code)
     const = get_constellation(config.constellation)
     scale = _noise_scale(config.snr_db[point])
+    n_h, k, n_noise = _draw_dims(code, config.m)
+    block = _block_trials(code, config.m)
     sym_errors = bit_errors = redraws = disagreements = 0
-    for lo in range(start, stop, _DRAW):
-        trials = np.arange(lo, min(lo + _DRAW, stop))
+    for lo in range(start, stop, block):
+        trials = np.arange(lo, min(lo + block, stop))
         h, sym, noise, r = _substreams.draw_block(
-            config.seed, point, trials, 2 * code.n * config.m, code.k,
-            const.size, 2 * config.m * code.t)
+            config.seed, point, trials, n_h, k, const.size, n_noise)
         h *= RSQRT2
         noise *= scale
         comp, decoded, agree = _run_batch(code, const, config.m, h, sym,

@@ -304,6 +304,14 @@ def test_batch_evaluation_matches_single():
                                       evaluate_lattice_batch(sym, hb[i:i + 1])[0])
 
 
+def test_batch_evaluation_accepts_nested_lists():
+    # a list batch is read as the float array it spells
+    sym = build_symbolic_lattice(get_code("g2"), 1)
+    rows = [[1.0, 2, 3, 4], [-0.5, 0, 2, 1]]
+    np.testing.assert_array_equal(evaluate_lattice_batch(sym, rows),
+                                  evaluate_lattice_batch(sym, np.array(rows)))
+
+
 @pytest.mark.parametrize("shape", [(4,), (), (2, 3, 4)],
                          ids=["vector", "scalar", "3-D"])
 def test_batch_evaluation_rejects_non_batch_h(shape):

@@ -72,10 +72,13 @@ def test_noisy_trial_decoders_agree():
     ({"snr_db": math.nan}, r"snr_db values must be finite or \+inf"),
     ({"snr_db": -math.inf}, r"snr_db values must be finite or \+inf"),
     ({"decoders": ()}, "decoders must be nonempty"),
-], ids=["nan-snr", "-inf-snr", "no-decoders"])
+    ({"m": 1.5}, "^m must be an integer$"),
+    ({"m": "2"}, "^m must be an integer$"),
+], ids=["nan-snr", "-inf-snr", "no-decoders", "float-m", "str-m"])
 def test_run_trial_rejects(kw, match):
     # without the checks a NaN soft output quantizes to the top index
-    # silently, and no decoder fails with an IndexError
+    # silently, no decoder fails with an IndexError, and a float m fails
+    # inside NumPy with a message that names no argument
     kw = {"snr_db": 0.0, **kw}
     with pytest.raises(ValueError, match=match):
         run_trial("g2", "4qam", rng=substream(1, 0, 0), **kw)
@@ -186,10 +189,11 @@ def test_sweep_decomposes_into_trials(monkeypatch, decoders):
     # decoding on the documented substreams, across draw block and chunk
     # boundaries, with some trials redrawn off the batched draw
     monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
-    cfg = SimConfig(code="g2", constellation="4qam", snr_db=(0.0,),
-                    trials=1000, seed=2024, decoders=decoders)
-    assert cfg.trials > sim._DRAW
     code, const = get_code("g2"), get_constellation("4qam")
+    # one whole draw block and a clipped second one
+    cfg = SimConfig(code="g2", constellation="4qam", snr_db=(0.0,),
+                    trials=sim._block_trials(code, 1) + 300, seed=2024,
+                    decoders=decoders)
     ok = _substreams.draw(cfg.seed, 0, np.arange(cfg.trials), 2 * code.n,
                           code.k, const.size, 2 * code.t)[3]
     assert not ok.all()
@@ -222,11 +226,34 @@ def test_sweep_independent_of_draw_block(monkeypatch, draw):
                           code.k, 16, 2 * 2 * code.t)[3]
     assert not ok.all()
     default = ber_to_json(run_ber(cfg))
-    monkeypatch.setattr(sim, "_DRAW", draw)
+    # the word budget of `draw` g3 m=2 trials (56 words each)
+    monkeypatch.setattr(sim, "_DRAW_WORDS", draw * 56)
+    assert sim._block_trials(code, 2) == draw
     assert ber_to_json(run_ber(cfg)) == default
 
 
-@pytest.mark.parametrize("chunk", [1, 37, sim._DRAW])
+@pytest.mark.parametrize("cid", ["g2", "g3", "g4", "h3"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_draw_block_fits_word_budget(cid, m):
+    # a block holds at least one trial and no more words than the budget,
+    # so no code draws more at once than g3 m=2, which sets the budget
+    code = get_code(cid)
+    block = sim._block_trials(code, m)
+    words = _substreams.words_per_trial(2 * code.n * m, code.k,
+                                        2 * m * code.t)
+    assert block >= 1
+    assert block * words <= sim._DRAW_WORDS
+    assert (block + 1) * words > sim._DRAW_WORDS
+    if (cid, m) == ("g3", 2):
+        assert (words, block) == (56, 512)
+
+
+def test_draw_block_of_one_trial_when_budget_is_small(monkeypatch):
+    monkeypatch.setattr(sim, "_DRAW_WORDS", 1)
+    assert sim._block_trials(get_code("g4"), 2) == 1
+
+
+@pytest.mark.parametrize("chunk", [1, 37, 512])
 @pytest.mark.parametrize("cfg", [
     SimConfig(code="g3", constellation="16qam", snr_db=(0.0,), trials=1100,
               seed=31, m=2),
@@ -314,7 +341,9 @@ def test_worker_count_is_capped():
     assert sim._worker_count(8, 1, sim._TASK, 64) == 1
     assert sim._worker_count(8, 1, 2 * sim._TASK + 1, 64) == 3
     assert sim._worker_count(8, 2, 1, 64) == 2
-    assert sim._TASK % sim._DRAW == 0
+    # a task need not hold whole draw blocks: g2's 1433-trial blocks
+    # straddle every task boundary, its last block in each task clipped
+    assert sim._TASK % sim._block_trials(get_code("g2"), 1)
     assert 1 <= sim._usable_cpus() <= (os.cpu_count() or 1)
 
 
