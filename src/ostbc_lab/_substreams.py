@@ -54,8 +54,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["philox_words", "words_per_trial", "draw", "trial_rng",
-           "draw_trial", "draw_block"]
+__all__ = ["philox_words", "words_per_trial", "draw", "check_key",
+           "trial_rng", "draw_trial", "draw_block"]
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _MASK52 = np.uint64((1 << 52) - 1)
@@ -259,9 +259,20 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
     return h, sym, noise, ok & h.any(axis=1)
 
 
+def check_key(seed: int, point: int, trial: int) -> None:
+    """Reject a substream key outside its space: seed in [0, 2**64), point
+    and trial in [0, 2**32), so that point << 32 | trial neither overflows
+    nor aliases another (point, trial)."""
+    for name, value, bits in (("seed", seed, 64), ("point", point, 32),
+                              ("trial", trial, 32)):
+        if not 0 <= value < 2 ** bits:
+            raise ValueError(f"substream {name} must be in [0, 2**{bits})")
+
+
 def trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
     """The generator of trial `trial` of `point`: Philox4x64-10 under the
-    key (seed, point << 32 | trial)."""
+    key (seed, point << 32 | trial), checked by ``check_key``."""
+    check_key(seed, point, trial)
     key = np.array([seed, (point << 32) | trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

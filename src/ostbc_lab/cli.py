@@ -184,6 +184,9 @@ def cmd_simulate(args) -> int:
     if not json_path.parent.is_dir():
         raise FileNotFoundError(
             f"--out directory {str(json_path.parent)!r} does not exist")
+    for path in (json_path, csv_path):
+        if path.is_dir():
+            raise IsADirectoryError(f"--out file {str(path)!r} is a directory")
     result = run_ber(config)
     json_path.write_text(ber_to_json(result))
     csv_path.write_text(ber_to_csv(result))
@@ -254,7 +257,7 @@ def main(argv=None) -> int:
         print(f"invariant failure: {err}", file=sys.stderr)
         return 1
     except (UnknownCodeError, CodeFormatError, ConstellationError,
-            FileNotFoundError, ValueError) as err:
+            FileNotFoundError, IsADirectoryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -226,13 +226,13 @@ _BUILTINS = {
     "g4": _make_g4,
     "h3": _make_h3,
 }
-_CODE_CACHE: dict[str, DispersionCode] = {}
 
 
 def builtin_code_ids() -> tuple[str, ...]:
     return tuple(_BUILTINS)
 
 
+@cache
 def get_code(code_id: str) -> DispersionCode:
     """Return a built-in code by id ("g2", "g3", "g4", "h3")."""
     try:
@@ -240,9 +240,7 @@ def get_code(code_id: str) -> DispersionCode:
     except KeyError:
         raise UnknownCodeError(
             f"unknown code {code_id!r}; built-ins are {', '.join(_BUILTINS)}") from None
-    if code_id not in _CODE_CACHE:
-        _CODE_CACHE[code_id] = factory()
-    return _CODE_CACHE[code_id]
+    return factory()
 
 
 # ---------------------------------------------------------------------------

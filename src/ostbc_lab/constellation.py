@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -82,13 +83,13 @@ _REGISTRY = {
     "4qam": lambda: _square_qam("4qam", 2),
     "16qam": lambda: _square_qam("16qam", 4),
 }
-_CACHE: dict[str, Constellation] = {}
 
 
 def constellation_names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+@cache
 def get_constellation(name: str) -> Constellation:
     try:
         factory = _REGISTRY[name]
@@ -96,9 +97,7 @@ def get_constellation(name: str) -> Constellation:
         raise ConstellationError(
             f"unknown constellation {name!r}; separable square QAM only "
             f"({', '.join(_REGISTRY)})") from None
-    if name not in _CACHE:
-        _CACHE[name] = factory()
-    return _CACHE[name]
+    return factory()
 
 
 def _midpoints(alphabet: np.ndarray) -> np.ndarray:

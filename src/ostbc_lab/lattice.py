@@ -25,11 +25,19 @@ deterministically.
 
 This module alone owns that layout and sigma: ``interleave`` / ``deinterleave``
 (Re/Im pairs), ``vectorize_received`` / ``unvectorize`` (column stacking) and
-``channel_sigma``; every other module calls these instead of slicing.
+``channel_sigma``; every other module calls these instead of slicing, with
+three deliberate exceptions.  ``decoders._fprime`` reads the Re and Im parts
+of ycheck and fills F's interleaved columns with ``0::2`` / ``1::2``
+slices, ``decoders.decode_Fprime`` splits z' = (Re z; Im z) at its half,
+and ``sim._count_errors`` ORs the Re and Im columns of each symbol with the
+same slices.  Routed through ``interleave`` and ``.any(axis=-1)``,
+``_fprime`` measured 10-25% slower per 128-trial chunk and
+``_count_errors`` 2.3x slower per draw block.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -74,17 +82,18 @@ def h_index(l: int, j: int, imag: bool, n: int) -> int:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """A channel matrix together with its flattened real coefficient vector.
+    """A channel held once, as its flattened real coefficient vector.
 
     Attributes
     ----------
-    matrix : ndarray, complex, shape (N, M)
-    h : ndarray, float, shape (2NM,)
-        Re/Im interleaved down each column of `matrix`.
+    h : ndarray, float, shape (2NM,), read-only
+        Re/Im interleaved down each column of the channel matrix.
+    n : int
+        Transmit antennas, the rows of the channel matrix.
     """
 
-    matrix: np.ndarray
     h: np.ndarray
+    n: int
 
     @classmethod
     def from_matrix(cls, matrix) -> "ChannelRealization":
@@ -92,26 +101,26 @@ class ChannelRealization:
         if matrix.ndim != 2:
             raise ValueError("channel matrix must be 2-D (N x M)")
         h = vectorize_received(matrix)
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
         h.setflags(write=False)
-        return cls(matrix=matrix, h=h)
+        return cls(h=h, n=matrix.shape[0])
 
     @classmethod
     def from_h(cls, h, n: int, m: int) -> "ChannelRealization":
         _require_real("h", h)
-        h = np.asarray(h, dtype=float)
+        h = np.array(h, dtype=float)
         if h.shape != (2 * n * m,):
             raise ValueError(f"expected {2 * n * m} real coefficients, got {h.shape}")
-        return cls.from_matrix(unvectorize(h, n))
+        h.setflags(write=False)
+        return cls(h=h, n=n)
 
     @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """The complex (N, M) channel matrix, a read-only view of h."""
+        return unvectorize(self.h, self.n)
 
     @property
     def m(self) -> int:
-        return self.matrix.shape[1]
+        return self.h.shape[0] // (2 * self.n)
 
 
 @dataclass(frozen=True)
@@ -185,16 +194,30 @@ def linform_value(form: LinForm, h: np.ndarray) -> np.ndarray:
     return acc
 
 
-@lru_cache(maxsize=None)
+def _antenna_count(m) -> int:
+    """m as a receive antenna count: an integer type (``operator.index``,
+    so True is 1 and 1.0 is rejected), at least 1."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError("m must be an integer") from None
+    if m < 1:
+        raise ValueError("m must be >= 1: the receive antenna count must be "
+                         "positive")
+    return m
+
+
+@lru_cache(maxsize=None, typed=True)
 def build_symbolic_lattice(code: DispersionCode, m: int) -> SymbolicLattice:
     """Construct the exact 2MT x 2K lattice matrix for M receive antennas.
 
     One pass over (k, j, t, l) appends each nonzero tag's term straight to
     its interleaved entry (see the module docstring), so every entry lists
-    its terms in ascending channel index.  The result is cached per (code, M).
+    its terms in ascending channel index.  The result is cached per (code, M)
+    and per type of M, so that M = 1.0 is rejected whatever the cache holds;
+    the lattice's ``m`` is a plain int even for M = True or a NumPy integer.
     """
-    if m < 1:
-        raise ValueError("receive antenna count must be positive")
+    m = _antenna_count(m)
     n, t = code.n, code.t
     entries = [[[] for _ in range(2 * code.k)] for _ in range(2 * m * t)]
     for k, (a_k, b_k) in enumerate(zip(code.a_tags, code.b_tags)):

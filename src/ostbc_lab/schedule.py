@@ -23,6 +23,9 @@ columns is formed in each, never cached across outputs.
 
 Cost model: MUL = 1 RM, ADD = 1 RA, NEG free, DIV4 (scalar reciprocal,
 standing in for a real division) = 4 RM.  Subtraction is ADD of a NEG.
+``_KINDS`` holds each kind's ufunc, operand count and cost, and both
+``count_ops`` and the executor read it, so an op the executor rejects
+raises the same error when counted.
 
 Representation: ``Op`` and ``Slot`` are ``typing.NamedTuple``s, immutable
 and hashable; derive a changed copy with ``op._replace(...)``, since
@@ -83,7 +86,7 @@ class OpCount(NamedTuple):
 class Op(NamedTuple):
     """One scalar operation; args are slot ids, dst is a fresh slot."""
 
-    kind: str  # "ADD" | "MUL" | "NEG" | "DIV4"
+    kind: str  # a key of _KINDS: "ADD" | "MUL" | "NEG" | "DIV4"
     dst: int
     args: tuple[int, ...]
 
@@ -314,9 +317,8 @@ def _sigma_channel(b: _Builder, code: DispersionCode, m: int) -> int:
 def generate_schedule(code: DispersionCode, m: int, level=2) -> Schedule:
     """Compile the decode of `code` with m receive antennas at one level."""
     level = _coerce_level(level)
-    if m < 1:
-        raise ValueError("m must be >= 1")
     sym = build_symbolic_lattice(code, m)
+    m = sym.m
     b = _Builder()
     if level == 0:
         ybar = _columns_dense(b, sym)
@@ -333,21 +335,25 @@ def generate_schedule(code: DispersionCode, m: int, level=2) -> Schedule:
                     sigma_inv_slot=sigma_inv)
 
 
+# The instruction set, read by count_ops and the planner alike: each op
+# kind's (ufunc, operand count, RM, RA).
+_KINDS = {"ADD": (np.add, 2, 0, 1), "MUL": (np.multiply, 2, 1, 0),
+          "NEG": (np.negative, 1, 0, 0), "DIV4": (np.divide, 1, 4, 0)}
+
+
+def _unknown_op(kind: str, args: tuple[int, ...]) -> RuntimeError:
+    return RuntimeError(f"unknown op {kind!r} of {len(args)} operands")
+
+
 def count_ops(sched: Schedule) -> OpCount:
     rm = ra = 0
-    for op in sched.ops:
-        if op.kind == "MUL":
-            rm += 1
-        elif op.kind == "DIV4":
-            rm += 4
-        elif op.kind == "ADD":
-            ra += 1
+    for kind, _, args in sched.ops:
+        spec = _KINDS.get(kind)
+        if spec is None or spec[1] != len(args):
+            raise _unknown_op(kind, args)
+        rm += spec[2]
+        ra += spec[3]
     return OpCount(rm, ra)
-
-
-# ufunc of each op kind, by operand count
-_BINARY = {"ADD": np.add, "MUL": np.multiply}
-_UNARY = {"NEG": np.negative, "DIV4": np.divide}
 
 
 class _Plan(NamedTuple):
@@ -431,12 +437,15 @@ def _compile_plan(sched: Schedule) -> _Plan:
         return r
 
     for k, (kind, dst, args) in enumerate(ops):
+        spec = _KINDS.get(kind)
+        if spec is None or spec[1] != len(args):
+            raise _unknown_op(kind, args)
         a = args[0]
         x = bound[a]
         if x is None:
             x = bind(a)
+        y = None
         if len(args) == 2:
-            ufunc = _BINARY.get(kind)
             b = args[1]
             y = bound[b]
             if y is None:
@@ -445,12 +454,6 @@ def _compile_plan(sched: Schedule) -> _Plan:
                 last[b] = end  # so that a repeated operand is freed once
                 if y < 0:
                     free.append(y)
-        else:
-            ufunc = _UNARY.get(kind) if len(args) == 1 else None
-            y = None
-        if ufunc is None:
-            raise RuntimeError(f"unknown op {kind!r} of {len(args)} "
-                               f"operands")
         if last[a] == k:
             last[a] = end
             if x < 0:
@@ -458,7 +461,7 @@ def _compile_plan(sched: Schedule) -> _Plan:
         if kind == "DIV4":
             x, y = const("one", 1.0), x
         bound[dst] = out = alloc()
-        steps.append((ufunc, x, y, out))
+        steps.append((spec[0], x, y, out))
     outputs = tuple(bind(o) if bound[o] is None else bound[o]
                     for o in sched.outputs)
     return _Plan(registers, tuple(value for _, value in consts.values()),

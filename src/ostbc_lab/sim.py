@@ -75,6 +75,7 @@ from .decoders import (
 )
 from .lattice import (
     ChannelRealization,
+    _antenna_count,
     build_symbolic_lattice,
     channel_sigma,
     evaluate_lattice_batch,
@@ -133,15 +134,6 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer") from None
 
 
-def _check_channel(snr_db, m: int) -> None:
-    """Reject SNRs that are NaN or -inf and receive antenna counts below 1,
-    the checks that ``SimConfig`` and ``run_trial`` share."""
-    if any(math.isnan(s) or s == -math.inf for s in snr_db):
-        raise ValueError("snr_db values must be finite or +inf")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Full description of one simulation run; results are a pure function
@@ -158,21 +150,21 @@ class SimConfig:
     def __post_init__(self):
         get_code(self.code)
         get_constellation(self.constellation)
-        # a substream key packs point and trial into 32 bits each
-        # (``_substreams``); the points are counted before any is copied
-        if len(self.snr_db) >= 2 ** 32:
-            raise ValueError("snr_db must have fewer than 2**32 points")
+        for field in ("trials", "seed"):
+            object.__setattr__(self, field, _integer(field, getattr(self, field)))
+        object.__setattr__(self, "m", _antenna_count(self.m))
+        # every trial's substream key (seed, point << 32 | trial) must fit:
+        # the point and trial counts are checked as keys, before any point
+        # is copied
+        _substreams.check_key(self.seed, len(self.snr_db), self.trials)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "decoders", _decoder_names(self.decoders))
         if not self.snr_db:
             raise ValueError("snr_db must be nonempty")
-        for field in ("trials", "seed", "m"):
-            object.__setattr__(self, field, _integer(field, getattr(self, field)))
-        if not 1 <= self.trials < 2 ** 32:
-            raise ValueError("trials must be in [1, 2**32)")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
-        _check_channel(self.snr_db, self.m)
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        for snr in self.snr_db:
+            _noise_scale(snr)
 
 
 @dataclass(frozen=True)
@@ -217,9 +209,19 @@ def sample_channel(n: int, m: int, rng: np.random.Generator) -> ChannelRealizati
 
 
 def _noise_scale(snr_db: float) -> float:
-    if math.isinf(snr_db) and snr_db > 0:
+    """sqrt(N0 / 2) with N0 = 10**(-snr_db/10), 0.0 at +inf: the one SNR
+    check.  NaN, -inf and SNRs whose N0 is not finite (below about
+    -3082.5 dB) raise ValueError."""
+    if snr_db == math.inf:
         return 0.0
-    return math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    try:
+        n0 = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        n0 = math.inf
+    if not math.isfinite(n0):
+        raise ValueError(f"snr_db values must be finite or +inf, with a "
+                         f"finite N0 = 10**(-snr/10); got {snr_db!r}")
+    return math.sqrt(n0 / 2.0)
 
 
 def _run_batch(code, const, m, h, sent, noise, decoders):
@@ -270,8 +272,8 @@ def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
     into these trials.  SNR, m and decoders are checked as ``SimConfig``
     checks them.
     """
-    m = _integer("m", m)
-    _check_channel((snr_db,), m)
+    m = _antenna_count(m)
+    scale = _noise_scale(snr_db)
     decoders = _decoder_names(decoders)
     code = get_code(code) if isinstance(code, str) else code
     const = get_constellation(constellation) \
@@ -280,7 +282,7 @@ def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
     h, sym, noise, redraws = _substreams.draw_trial(rng, n_h, k, const.size,
                                                     n_noise)
     h *= RSQRT2
-    noise *= _noise_scale(snr_db)
+    noise *= scale
     comp, decoded, agree = _run_batch(code, const, m, h[None], sym[None],
                                       noise[None], decoders)
     return TrialResult(

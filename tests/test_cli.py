@@ -206,6 +206,21 @@ def test_simulate_out_into_missing_directory_fails_before_sweep(
     assert calls == []
 
 
+@pytest.mark.parametrize("ext", [".json", ".csv"])
+def test_simulate_out_onto_a_directory_fails_before_sweep(
+        capsys, tmp_path, monkeypatch, ext):
+    calls = []
+    monkeypatch.setattr(cli, "run_ber", lambda config: calls.append(config))
+    (tmp_path / f"x{ext}").mkdir()
+    rc, out, err = run(capsys, "simulate", "--code", "g2", "--mod", "4qam",
+                       "--snr", "0", "--trials", "10",
+                       "--out", str(tmp_path / "x"))
+    assert rc == 2
+    assert out == ""
+    assert "error: --out file" in err and f"x{ext}" in err
+    assert calls == []
+
+
 def test_simulate_unknown_constellation(capsys, tmp_path):
     rc, _, err = run(capsys, "simulate", "--code", "g2", "--mod", "8psk",
                      "--snr", "0", "--out", str(tmp_path / "x"))
@@ -230,7 +245,7 @@ def test_simulate_bad_thread_count_names_variable(capsys, tmp_path,
     assert "error: OSTBC_LAB_THREADS" in err
 
 
-@pytest.mark.parametrize("snr", ["nan", "0,-inf"])
+@pytest.mark.parametrize("snr", ["nan", "0,-inf", "-4000"])
 def test_simulate_rejects_undefined_snr(capsys, tmp_path, snr):
     rc, _, err = run(capsys, "simulate", "--code", "g2", "--mod", "4qam",
                      "--snr", snr, "--out", str(tmp_path / "x"))

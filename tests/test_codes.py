@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from code_transforms import signed_twins
 from ostbc_lab.codes import (
     RSQRT2,
     CodeFormatError,
@@ -126,19 +127,15 @@ def test_measure_c(cid, c):
 def test_measure_c_invariant_under_signed_permutations(cid, data):
     # G(s) -> diag(row_sign) G(s) P diag(col_sign) leaves G^H G, so c, alone
     code = get_code(cid)
-    signs = lambda size: st.lists(st.sampled_from((1, -1)),
-                                  min_size=size, max_size=size)
-    perm = data.draw(st.permutations(range(code.n)))
-    col_sign, row_sign = data.draw(signs(code.n)), data.draw(signs(code.t))
-
-    def transform(mats):
-        return tuple(tuple(tuple(row_sign[t] * col_sign[l] * mat[t][perm[l]]
-                                 for l in range(code.n))
-                           for t in range(code.t)) for mat in mats)
-
-    twin = replace(code, a_tags=transform(code.a_tags),
-                   b_tags=transform(code.b_tags))
+    twin = data.draw(signed_twins(code))
     assert measure_c(twin) == code.c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(builtin_code_ids()), st.data())
+def test_text_round_trip_of_signed_twins(cid, data):
+    twin = data.draw(signed_twins(get_code(cid)))
+    assert parse_code_text(format_code_text(twin)) == twin
 
 
 def test_measure_c_rejects_every_single_sign_flip():

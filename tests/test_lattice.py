@@ -1,11 +1,12 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ostbc_lab.codes import DispersionCode, builtin_code_ids, encode, get_code
+from code_transforms import signed_twins
+from ostbc_lab.codes import builtin_code_ids, encode, get_code
 from ostbc_lab.lattice import (
     ChannelRealization,
     RealLattice,
@@ -24,6 +25,7 @@ from ostbc_lab.lattice import (
     vectorize_received,
     write_hcheck_csv,
 )
+from ostbc_lab.schedule import dump_schedule, generate_schedule
 
 # Expected symbolic rows of the real lattice, frozen after hand-derivation.
 # Tokens: 0, [-]h<i>, [-]r(h<i>), r(<signed h sum>); r scales by 1/sqrt(2).
@@ -103,6 +105,20 @@ def test_from_h_round_trip():
     h = rng.standard_normal(12)
     ch = ChannelRealization.from_h(h, 3, 2)
     np.testing.assert_array_equal(ChannelRealization.from_matrix(ch.matrix).h, h)
+
+
+def test_channel_is_held_once_as_h():
+    rng = np.random.default_rng(2)
+    h = rng.standard_normal(12)
+    ch = ChannelRealization.from_h(h, 3, 2)
+    assert [f.name for f in fields(ChannelRealization)] == ["h", "n"]
+    assert (ch.n, ch.m) == (3, 2)
+    # the matrix is a read-only view of h, and h a copy of the input
+    assert np.shares_memory(ch.matrix, ch.h)
+    assert not ch.h.flags.writeable and not ch.matrix.flags.writeable
+    h[0] += 1.0
+    assert ch.h[0] != h[0]
+    np.testing.assert_array_equal(ch.matrix, unvectorize(ch.h, 3))
 
 
 def test_vectorize_received_example():
@@ -284,6 +300,27 @@ def test_channel_and_lattice_shape_checks():
         build_symbolic_lattice(code, 0)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_antenna_count_is_checked_exactly(warm):
+    # the cache tells 1 from 1.0 and True, so neither the rejection of 1.0
+    # nor the int m of the lattice depends on what was built before
+    code = get_code("h3")
+    build_symbolic_lattice.cache_clear()
+    if warm:
+        build_symbolic_lattice(code, 1)
+    for bad in (1.0, "1"):
+        with pytest.raises(ValueError, match="^m must be an integer$"):
+            build_symbolic_lattice(code, bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="^m must be >= 1"):
+            build_symbolic_lattice(code, bad)
+    for good in (True, np.int64(1), 1):
+        assert type(build_symbolic_lattice(code, good).m) is int
+    sched = generate_schedule(code, True, 1)
+    assert type(sched.m) is int and sched.m == 1
+    assert dump_schedule(sched).startswith("schedule h3 M=1 level=L1\n")
+
+
 def test_wrong_declared_c_fails_sigma_cross_check():
     # a g2 that declares c = 2: its lattice's first column gives ||H||^2
     # while c ||H||^2 is twice that
@@ -424,24 +461,11 @@ def test_batch_evaluation_isolates_nonfinite_column(cid, m, bad):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.permutations(range(3)), st.lists(st.sampled_from((1, -1)),
-                                            min_size=3, max_size=3),
-       st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4),
-       st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
-def test_batch_evaluation_bitwise_on_transformed_h3(perm, col_sign, row_sign,
-                                                    m, seed):
+@given(signed_twins(get_code("h3")), st.integers(1, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_batch_evaluation_bitwise_on_transformed_h3(code, m, seed):
     # G(s) -> diag(row_sign) G(s) P diag(col_sign) stays orthogonal and
     # keeps h3's two-term entries, on other channel indices and signs
-    base = get_code("h3")
-
-    def transform(mats):
-        return tuple(tuple(tuple(row_sign[t] * col_sign[l] * mat[t][perm[l]]
-                                 for l in range(base.n))
-                           for t in range(base.t)) for mat in mats)
-
-    code = DispersionCode(id="h3", n=base.n, t=base.t, k=base.k, c=base.c,
-                          a_tags=transform(base.a_tags),
-                          b_tags=transform(base.b_tags))
     sym = build_symbolic_lattice(code, m)
     assert max(len(form) for row in sym.entries for form in row) == 2
     rng = np.random.default_rng(seed)

@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from code_transforms import signed_twins
 from ostbc_lab.codes import DispersionCode, builtin_code_ids, get_code
 from ostbc_lab.lattice import ChannelRealization, build_check_H, \
     build_symbolic_lattice, channel_sigma, evaluate_lattice_batch, \
@@ -115,6 +117,29 @@ def test_level_monotonicity(cid, m):
     assert c2.ra == c1.ra
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(builtin_code_ids()), st.sampled_from((1, 2)),
+       st.data())
+def test_schedules_of_signed_twins(cid, m, data):
+    # a signed column permutation and row-sign flip keeps each entry's
+    # terms, so every level still decodes and the levels stay ordered
+    code = data.draw(signed_twins(get_code(cid)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    h = rng.standard_normal((4, 2 * code.n * m))
+    yv = rng.standard_normal((4, 2 * m * code.t))
+    hc = evaluate_lattice_batch(build_symbolic_lattice(code, m), h)
+    want = np.einsum("bpj,bp->bj", hc, yv) / channel_sigma(code, h)[:, None]
+    counts = []
+    for level in LEVELS:
+        sched = generate_schedule(code, m, level)
+        np.testing.assert_allclose(execute_schedule(sched, h, yv), want,
+                                   rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        counts.append(count_ops(sched))
+    c0, c1, c2 = counts
+    assert c2.rm <= c1.rm <= c0.rm
+    assert c2.ra <= c1.ra <= c0.ra
+
+
 # -- program structure -------------------------------------------------------
 
 @pytest.mark.parametrize("cid", builtin_code_ids())
@@ -147,6 +172,22 @@ def test_count_ops_hand_built():
                        slots=slots, ops=(Op("DIV4", 1, (0,)),),
                        outputs=(1,), sigma_slot=0, sigma_inv_slot=1)
     assert count_ops(one_div) == OpCount(4, 0)
+
+
+@pytest.mark.parametrize("kind,args", [("SQRT", (0,)), ("ADD", (0,))],
+                         ids=["unknown-kind", "wrong-arity"])
+def test_count_ops_rejects_what_execute_rejects(kind, args):
+    # one instruction table: an op the executor cannot run has no count
+    bad = Schedule(code_id="x", m=1, level=0, n_h=1, n_y=1,
+                   slots=(Slot("h1", "h", index=0), Slot("t1", "temp")),
+                   ops=(Op(kind, 1, args),), outputs=(1,), sigma_slot=0,
+                   sigma_inv_slot=0)
+    with pytest.raises(RuntimeError) as counted:
+        count_ops(bad)
+    with pytest.raises(RuntimeError) as executed:
+        execute_schedule(bad, [1.0], [1.0])
+    assert str(counted.value) == str(executed.value) == \
+        f"unknown op {kind!r} of {len(args)} operands"
 
 
 def test_level_coercion():

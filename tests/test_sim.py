@@ -74,7 +74,9 @@ def test_noisy_trial_decoders_agree():
     ({"decoders": ()}, "decoders must be nonempty"),
     ({"m": 1.5}, "^m must be an integer$"),
     ({"m": "2"}, "^m must be an integer$"),
-], ids=["nan-snr", "-inf-snr", "no-decoders", "float-m", "str-m"])
+    ({"snr_db": -4000.0}, r"snr_db values must be finite or \+inf"),
+], ids=["nan-snr", "-inf-snr", "no-decoders", "float-m", "str-m",
+        "overflowing-snr"])
 def test_run_trial_rejects(kw, match):
     # without the checks a NaN soft output quantizes to the top index
     # silently, no decoder fails with an IndexError, and a float m fails
@@ -82,6 +84,18 @@ def test_run_trial_rejects(kw, match):
     kw = {"snr_db": 0.0, **kw}
     with pytest.raises(ValueError, match=match):
         run_trial("g2", "4qam", rng=substream(1, 0, 0), **kw)
+
+
+def test_noise_scale_values():
+    # N0 = 10**(-snr/10) stops being a finite float below about -3082.5 dB;
+    # every SNR above that keeps its value
+    assert sim._noise_scale(math.inf) == 0.0
+    for snr in (-3082.0, -20.0, -1.5, 0.0, 3.0, 6.5, 12.0, 400.0, 1e308):
+        assert sim._noise_scale(snr) == math.sqrt(10.0 ** (-snr / 10.0) / 2.0)
+    for snr in (-3083.0, -1e308, math.nan, -math.inf):
+        with pytest.raises(ValueError,
+                           match=r"snr_db values must be finite or \+inf"):
+            sim._noise_scale(snr)
 
 
 # Calls on an empty channel vector, which the all-zero redraw would retry
@@ -138,6 +152,7 @@ def test_config_normalization(monkeypatch):
     {"decoders": ("lattice", "viterbi")},
     {"snr_db": (math.nan,)},
     {"snr_db": (0.0, -math.inf)},
+    {"snr_db": (0.0, -4000.0)},
     {"trials": 2 ** 32},
     {"code": "g5"},
     {"constellation": "8psk"},

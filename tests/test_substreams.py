@@ -37,6 +37,29 @@ def test_philox_words_match_random_raw(seed, point, trial):
         np.testing.assert_array_equal(row, want)
 
 
+@pytest.mark.parametrize("seed,point,trial", [
+    (0, 0, 2 ** 32),
+    (0, 2 ** 32, 0),
+    (0, -1, 0),
+    (0, 0, -1),
+    (-1, 0, 0),
+    (2 ** 64, 0, 0),
+])
+def test_trial_rng_rejects_keys_outside_the_key_space(seed, point, trial):
+    # (0, 0, 2**32) would alias (0, 1, 0), and a negative field would
+    # raise OverflowError from NumPy
+    with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*"):
+        trial_rng(seed, point, trial)
+
+
+def test_trial_rng_key_space_edges():
+    top = trial_rng(2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32 - 1)
+    want = np.random.Philox(key=raw_key(2 ** 64 - 1, 2 ** 32 - 1,
+                                        2 ** 32 - 1))
+    np.testing.assert_array_equal(top.bit_generator.random_raw(8),
+                                  want.random_raw(8))
+
+
 # -- ziggurat tables ---------------------------------------------------------
 
 FILL = 1 << 63   # a fast zero in layer 0; as a uniform, 0.5
