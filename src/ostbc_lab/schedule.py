@@ -121,7 +121,7 @@ class Schedule:
     sigma_slot: int
     sigma_inv_slot: int
 
-    @property
+    @cached_property
     def count(self) -> OpCount:
         return count_ops(self)
 

@@ -45,6 +45,18 @@ large enough that a task's pickling and pool hand-off stay small against its
 decode work, and small enough that a few tasks per worker even out the load
 when the trial count does not divide evenly.
 
+The pool (``_pool``) is made by the first sweep that needs more than one
+worker and kept for later sweeps, which then skip starting, warming up and
+joining processes.  A sweep that needs another worker count shuts it down
+and makes one of the new size, since a larger pool would run on more CPUs
+than were asked for; one-worker sweeps leave it idle.  A sweep that ends by
+an exception (a worker killed, an interrupt) drops the pool and its queued
+tasks, so the next sweep starts on fresh workers; the workers left at exit
+are joined by ``concurrent.futures``.  The workers hold this module's state
+as it was when the pool was made.  That is safe: a task reads only its
+pickled ``SimConfig`` and the immutable built-in codes and constellations,
+and no result depends on ``_DRAW_WORDS``, ``_CHUNK`` or ``_TASK``.
+
 Error counting uses the first selected decoder; any further selected
 decoders are run in the same batch and compared, with disagreements counted
 (an agreement below 100% is a bug surface, not a statistic).  JSON output
@@ -108,6 +120,9 @@ _CHUNK = 128
 _DRAW_WORDS = 512 * 56
 # Trials per (point, block) task, the unit of work a pool worker takes.
 _TASK = 8192
+# The live process pool and its worker count; [None, 0] before the first
+# sweep that needs one.
+_POOL = [None, 0]
 
 
 def _decoder_names(decoders) -> tuple[str, ...]:
@@ -398,6 +413,17 @@ def _tasks(config: SimConfig):
             yield point, start, min(start + _TASK, config.trials)
 
 
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process pool of `workers` workers, kept from sweep to sweep; a
+    pool of another size is shut down and replaced."""
+    pool, size = _POOL
+    if size != workers:
+        if pool is not None:
+            pool.shutdown(wait=True)
+        _POOL[:] = ProcessPoolExecutor(max_workers=workers), workers
+    return _POOL[0]
+
+
 def _task_counters(config: SimConfig, workers: int):
     """(point, counters) of every task, in task order.
 
@@ -410,8 +436,9 @@ def _task_counters(config: SimConfig, workers: int):
         for point, start, stop in _tasks(config):
             yield point, _simulate_block(config, point, start, stop)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        window = deque()
+    pool = _pool(workers)
+    window = deque()
+    try:
         for point, start, stop in _tasks(config):
             window.append((point, pool.submit(_simulate_block, config,
                                               point, start, stop)))
@@ -420,6 +447,13 @@ def _task_counters(config: SimConfig, workers: int):
                 yield done_point, future.result()
         for done_point, future in window:
             yield done_point, future.result()
+    except BaseException:
+        # a broken pool, an interrupt or a closed sweep: drop the pool and
+        # its queued tasks, so the next sweep starts on fresh workers
+        if _POOL[0] is pool:
+            _POOL[:] = None, 0
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
 
 
 def run_ber(config: SimConfig) -> BerResult:

@@ -61,6 +61,15 @@ def test_golden_counts(cid, m, level, rm, ra):
     assert count_ops(sched) == sched.count
 
 
+@pytest.mark.parametrize("cid", builtin_code_ids())
+def test_count_is_computed_once(cid):
+    for m in (1, 2):
+        for level in LEVELS:
+            sched = generate_schedule(get_code(cid), m, level)
+            assert sched.count == count_ops(sched)
+            assert sched.count is sched.count
+
+
 @pytest.mark.parametrize("args,want", [
     ((2, 1, 2), (28, 15)),
     ((4, 2, 8), (300, 279)),

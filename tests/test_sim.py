@@ -1,8 +1,12 @@
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -111,15 +115,20 @@ EMPTY_CHANNEL_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", EMPTY_CHANNEL_CALLS)
-def test_empty_channel_is_rejected_not_redrawn_forever(call):
-    code, message = EMPTY_CHANNEL_CALLS[call]
+def run_python(code, timeout):
+    """Run `code` in a fresh interpreter that imports this ostbc_lab."""
     env = dict(os.environ)
     src = str(Path(sim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", f"import numpy as np; {code}"],
-                          env=env, capture_output=True, text=True, timeout=30)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("call", EMPTY_CHANNEL_CALLS)
+def test_empty_channel_is_rejected_not_redrawn_forever(call):
+    code, message = EMPTY_CHANNEL_CALLS[call]
+    proc = run_python(f"import numpy as np; {code}", timeout=30)
     assert proc.returncode == 1
     assert f"ValueError: {message}" in proc.stderr
 
@@ -403,6 +412,102 @@ def test_sweep_independent_of_worker_count(monkeypatch, multi_task_sweep,
     assert ber_to_json(run_ber(cfg)) == serial
 
 
+@pytest.fixture
+def no_live_pool():
+    """No process pool before the test and none left after it, so a pool
+    (or a stand-in) the test makes is not reused by another test."""
+
+    def drop():
+        pool = sim._POOL[0]
+        sim._POOL[:] = None, 0
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    drop()
+    yield
+    drop()
+
+
+def pool_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def assert_exited(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+# two one-task points
+H3_TWO_POINTS = SimConfig(code="h3", constellation="4qam", snr_db=(2.0, 8.0),
+                          trials=120, seed=9)
+
+
+@pytest.fixture
+def two_workers(monkeypatch, no_live_pool):
+    # the CPU count is raised so "2" runs two workers on any host
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
+    monkeypatch.setenv("OSTBC_LAB_THREADS", "2")
+
+
+def test_pool_outlives_the_sweep(two_workers):
+    first = ber_to_json(run_ber(H3_TWO_POINTS))
+    pids = pool_pids()
+    assert len(pids) == 2
+    assert ber_to_json(run_ber(H3_TWO_POINTS)) == first
+    assert pool_pids() == pids
+
+
+def test_pool_is_replaced_when_its_size_changes(monkeypatch, two_workers):
+    run_ber(H3_TWO_POINTS)
+    old = pool_pids()
+    assert len(old) == 2
+    monkeypatch.setenv("OSTBC_LAB_THREADS", "3")
+    run_ber(SimConfig(code="h3", constellation="4qam",
+                      snr_db=(2.0, 8.0, 14.0), trials=120, seed=9))
+    new = pool_pids()
+    assert len(new) == 3
+    assert not new & old
+    assert_exited(old)
+
+
+def test_broken_pool_is_dropped(monkeypatch, two_workers):
+    # eight tasks, more than the window holds
+    cfg = SimConfig(code="g2", constellation="4qam", snr_db=(0.0, 6.0),
+                    trials=2000, seed=12)
+    monkeypatch.setattr(sim, "_TASK", 500)
+    run_ber(cfg)
+    victim, *_ = pids = pool_pids()
+    os.kill(victim, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while victim in pool_pids():
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    with pytest.raises(BrokenProcessPool):
+        run_ber(cfg)
+    assert sim._POOL == [None, 0]
+    parallel = ber_to_json(run_ber(cfg))
+    assert not pool_pids() & pids
+    monkeypatch.delenv("OSTBC_LAB_THREADS")
+    assert parallel == ber_to_json(run_ber(cfg))
+
+
+def test_pool_workers_exit_with_the_interpreter():
+    proc = run_python(
+        "import multiprocessing, os\n"
+        "from ostbc_lab import sim\n"
+        "sim._usable_cpus = lambda: 2\n"
+        "os.environ['OSTBC_LAB_THREADS'] = '2'\n"
+        "sim.run_ber(sim.SimConfig(code='h3', constellation='4qam', "
+        "snr_db=(2.0, 8.0), trials=120, seed=9))\n"
+        "print(*(p.pid for p in multiprocessing.active_children()))\n",
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    assert_exited(pids)
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: runs each task when it is
     submitted and counts the futures submitted but not yet read."""
@@ -415,12 +520,6 @@ class _InlinePool:
         self.reads = []
         self.peak_unread = 0
         self.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def submit(self, fn, *args):
         index, value = self.submitted, fn(*args)
@@ -436,8 +535,11 @@ class _InlinePool:
 
         return Future()
 
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
-def test_pool_is_fed_from_a_bounded_window(monkeypatch):
+
+def test_pool_is_fed_from_a_bounded_window(monkeypatch, no_live_pool):
     cfg = SimConfig(code="g2", constellation="4qam", snr_db=(0.0, 6.0),
                     trials=1000, seed=12)
     monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
