@@ -10,7 +10,8 @@ not ``ok`` are redrawn by ``draw_trial`` on their own generator.  The draws
 are unscaled; the caller applies the channel and noise variances.
 
 ``draw`` reproduces the per-trial values bit for bit for a block of trials
-with whole-array operations, with no Python loop over trials or normals:
+with whole-array operations; only the rare tail words are decoded in a
+Python loop:
 
 * Raw words are Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As
   Easy as 1, 2, 3", SC'11) under every key of the block, for counters 1, 2,
@@ -22,7 +23,11 @@ with whole-array operations, with no Python loop over trials or normals:
   ``rabs < ki[idx]``.  Otherwise the word is slow: the next word is a
   uniform ``u``, and the wedge accepts ``x`` iff
   ``(fi[idx-1] - fi[idx]) * u + fi[idx] < exp(-x*x/2)``.  A rejected
-  attempt emits nothing and the next word starts a new one.
+  attempt emits nothing and the next word starts a new one.  A slow word
+  in layer 0 is the tail, which always emits: pairs of uniforms (u1, u2)
+  give ``xx = -inv_r * log1p(-u1)`` and ``yy = -log1p(-u2)`` until
+  ``yy + yy > xx*xx``, and the normal is ``r + xx``, negated iff bit 17 of
+  the slow word (bit 8 of ``rabs``) is set.
 * Symbol indices are ``integers`` on a power-of-two size, which NumPy draws
   with Lemire's method on 32-bit halves, low half of a word first:
   ``(u32 * size) >> 32``, never rejecting.
@@ -31,18 +36,28 @@ Most rows hold no slow word among the n_h channel words and the n_noise
 noise words of their first n_h + ceil(K/2) + n_noise words: 89% of g2 rows
 at M=1, 52% of g3 rows at M=2.  Those words are then, in order, the channel
 normals, the symbol words and the noise normals, so every row is first read
-that way by column slices; the wedge test and the attempt parsing run only on
-the rows with a slow channel or noise word there, and overwrite them.  A
-slow symbol word needs no parse: symbols are read from raw words.
+that way by column slices, and only the rows with a slow channel or noise
+word there are parsed.  A slow symbol word needs no parse: symbols are read
+from raw words.
+
+The parse works on the few slow words of those rows, its events, rather
+than on every word.  Each event is decoded where it stands (wedge test or
+tail), which fixes how many words its attempt takes and whether it emits.
+Which events start attempts is settled by a few whole-array rounds over the
+events, two to four per block for the built-in codes; each lead slot then
+sits at its column plus the words skipped before it, and one gather reads
+every parsed row's draws.
 The sign bit is folded into 512-entry tables indexed by a word's low 9 bits:
 ``rabs * -wi == -(rabs * wi)`` exactly.
 
 A trial that leaves these paths is marked not ``ok`` and must be redrawn
-by ``draw_trial``: a slow word in layer 0 (the tail, whose logarithms NumPy
-takes in C), a wedge comparison within ``_BAND`` of a tie (``np.exp`` may
-differ from the C library's ``exp`` in the last bits, and ``fi`` is derived
-here), a block too short for its slow words, or an all-zero channel.  That
-is 0.2-1.2% of trials for the built-in codes, most of them tails.
+by ``draw_trial``: a wedge comparison within ``_BAND`` of a tie (``np.exp``
+may differ from the C library's ``exp`` in the last bits, and ``fi`` is
+derived here), a row too short for its slow words (a tail whose uniforms
+run past it among them), or an all-zero channel.  Over 2**18 keys that is
+0.0015% of g3 trials at M=2 and none of g2, g4 or h3 at M=1.  Tails are
+decoded with ``math.log1p``, the C library's function that NumPy calls;
+``np.log1p`` differs from it in the last bits.
 
 The ``wi`` and ``ki`` tables are NumPy's.  They are committed at the end of
 this module rather than probed from a generator at import: that probe is a
@@ -51,6 +66,8 @@ The tests check the tables against the live ``Generator``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -71,6 +88,9 @@ _SLACK = 8
 # well over the few ulps that the derived fi (an ulp, doubled where adjacent
 # fi differ by 2x) and np.exp against the C library's exp can move it.
 _BAND = 2.0 ** -44
+# NumPy's tail start r and 1/r, as ziggurat_constants.h writes them.
+_R = 3.6541528853610087963519472518
+_INV_R = 0.27366123732975827203338247596
 
 
 def _mulhilo(a, hi, lo, t, u):
@@ -128,38 +148,6 @@ def philox_words(seed: int, keys, nblocks: int) -> np.ndarray:
     return words.reshape(keys.shape[0], 4 * nblocks)
 
 
-def _attempts(slow, emit, undecided, first, n):
-    """The words that give the first n normals parsed from column `first` of
-    each row: (mask (B, W) with n words per row, end column (B,), bad (B,)).
-
-    An attempt starts at `first`.  A slow word's attempt also takes the
-    next word as its uniform, so after a run of c slow words the next word
-    starts an attempt iff c is even.  A row is bad when it holds fewer than
-    n normals (its mask then picks placeholder words), or when an undecided
-    word starts an attempt before `end`.
-    """
-    b, width = slow.shape
-    cols = np.arange(width)
-    before = cols < first[:, None]
-    fence = np.where(before | ~slow, cols, -1)
-    np.maximum.accumulate(fence, axis=1, out=fence)
-    # column j starts an attempt iff j - fence[j-1] is odd, that is iff
-    # (cols - fence) is even at j-1
-    np.subtract(cols, fence, out=fence)
-    fence &= 1
-    start = ~before
-    start[:, 1:] &= fence[:, :-1] == 0
-    out = start & emit
-    count = np.cumsum(out, axis=1, out=fence)
-    short = count[:, -1] < n
-    last = np.argmax(count >= n, axis=1)
-    end = last + 1 + slow[np.arange(b), last]
-    bad = short | np.any(start & undecided & (cols < end[:, None]), axis=1)
-    take = out & (count <= n)
-    take[short] = cols < n
-    return take, end, bad
-
-
 def _ziggurat(words):
     """The ziggurat's fast-path value of each word, +-rabs * wi[idx], and
     whether the word is slow, rabs >= ki[idx]."""
@@ -182,39 +170,82 @@ def _symbols(w, size):
     return ((half * np.uint64(size)) >> 32).astype(np.intp)
 
 
-def _parse(words, n_h, k, size, n_noise):
-    """Draws of rows whose words may hold slow normals: (channel normals,
-    symbol indices, noise normals, ok), ok False where a row leaves the
-    paths reproduced here."""
+def _tail(row, c):
+    """NumPy's tail from the layer-0 slow word row[c]: (value, words taken
+    after it), or None when its uniforms run past the row."""
+    rabs = int(row[c]) >> 9
+    for j in range(c + 1, len(row) - 1, 2):
+        xx = -_INV_R * math.log1p(-(int(row[j]) >> 11) * 2.0 ** -53)
+        yy = -math.log1p(-(int(row[j + 1]) >> 11) * 2.0 ** -53)
+        if yy + yy > xx * xx:
+            return -(_R + xx) if (rabs >> 8) & 1 else _R + xx, j + 1 - c
+    return None
+
+
+def _parse(words, x, slow, n_h, k, size, n_noise):
+    """Draws of rows whose words may hold slow normals, from the _ziggurat
+    values x and flags slow of all their words: (channel normals, symbol
+    indices, noise normals, ok), ok False where a row leaves the paths
+    reproduced here.  Tail values are written into x."""
     b, width = words.shape
     sym_words = (k + 1) // 2
-    x, slow = _ziggurat(words)
-    # A slow word is a wedge attempt with the next word as its uniform.
-    emit = ~slow
-    undecided = np.zeros_like(slow)
+    lead = n_h + sym_words + n_noise
     r, c = np.nonzero(slow)
     layer = (words[r, c] & 0xFF).astype(np.intp)
+    # A wedge attempt takes the next word as its uniform.
     u = (words[r, np.minimum(c + 1, width - 1)] >> 11) * 2.0 ** -53
     lhs = (_FI[layer - 1] - _FI[layer]) * u + _FI[layer]
     xw = x[r, c]
     rhs = np.exp(-0.5 * xw * xw)
-    emit[r, c] = lhs < rhs
-    undecided[r, c] = ((layer == 0) | (c + 1 == width)
-                       | (np.abs(lhs - rhs) <= _BAND * rhs))
+    emit = lhs < rhs
+    extra = np.ones_like(c)
+    bad = (c + 1 == width) | (np.abs(lhs - rhs) <= _BAND * rhs)
+    for i in np.flatnonzero(layer == 0):
+        tail = _tail(words[r[i]], c[i])
+        emit[i], bad[i] = True, tail is None
+        if tail is not None:
+            x[r[i], c[i]], extra[i] = tail
 
-    # The channel is parsed from the first n_h + _SLACK words only; a row
-    # that needs more is short there and falls back.
-    head = slice(0, n_h + _SLACK)
-    take, end_h, bad_h = _attempts(slow[:, head], emit[:, head],
-                                   undecided[:, head],
-                                   np.zeros(b, dtype=np.intp), n_h)
-    h = x[:, head][take].reshape(b, n_h)
-    take, _, bad_n = _attempts(slow, emit, undecided, end_h + sym_words,
-                               n_noise)
-    noise = x[take].reshape(b, n_noise)
-    cols = np.minimum(end_h[:, None] + np.arange(k) // 2, width - 1)
-    sym = _symbols(np.take_along_axis(words, cols, axis=1), size)
-    return h, sym, noise, ~(bad_h | bad_n)
+    # An event starts an attempt iff no earlier attempt of its row takes it
+    # as an extra word and its lead slot, its column less the words skipped
+    # before it, is a channel or noise slot.  Each event depends only on the
+    # earlier ones of its row, so iterating from any guess settles on the
+    # one consistent start mask, within a round more than the busiest row
+    # has events.
+    row0 = np.searchsorted(r, r)          # the first event of each row
+    base = r * (width + 1)                # above every row's reach c + extra
+    at, reach_if = c + base, c + extra + base
+    skips = extra + 1 - emit
+    slots = np.zeros(width, dtype=bool)
+    slots[:n_h] = slots[n_h + sym_words:lead] = True
+    start = np.ones_like(emit)
+    while True:
+        reach = np.maximum.accumulate(np.where(start, reach_if, base - 1))
+        w = skips * start
+        before = np.cumsum(w)
+        before -= w
+        q = c - before + before[row0]
+        # a covered event's q may be negative; it starts nothing anyway
+        now = slots.take(q, mode="clip")
+        now[1:] &= reach[:-1] < at[1:]
+        if np.array_equal(now, start):
+            break
+        start = now
+
+    # Lead slot s sits at column s plus the words skipped before it: an
+    # emitting start shifts the slots after its own, a rejected one its own.
+    cols = np.bincount(r[start] * (lead + 1) + q[start] + emit[start],
+                       weights=skips[start], minlength=b * (lead + 1))
+    cols = cols.reshape(b, lead + 1)[:, :lead].cumsum(axis=1).astype(np.intp)
+    cols += np.arange(lead)
+    ok = cols[:, -1] < width
+    ok[r[start & bad]] = False
+    # flat indices: those of a short row run into the next row's words
+    cols += np.arange(0, b * width, width)[:, None]
+    values = x.take(cols, mode="clip")
+    sym = _symbols(words.take(cols[:, n_h + np.arange(k) // 2], mode="clip"),
+                   size)
+    return values[:, :n_h], sym, values[:, n_h + sym_words:], ok
 
 
 def words_per_trial(n_h: int, k: int, n_noise: int) -> int:
@@ -235,8 +266,8 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
     its ceil(k/2) symbol words are all fast is read straight from those
     columns: channel normals, symbol words, noise normals.  A symbol word is
     read raw, so whether it is slow does not matter.  Only the rows with a
-    slow channel or noise word are parsed word by word, and their draws
-    overwrite the sliced ones.
+    slow channel or noise word are parsed from their slow words, and their
+    draws overwrite the sliced ones.
     """
     if size < 1 or size & (size - 1) or size >= 2 ** 32:
         raise ValueError("size must be a power of two below 2**32")
@@ -249,13 +280,16 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
     h, noise = x[:, :n_h], x[:, n_h + sym_words:]
     sym = _symbols(words[:, n_h + np.arange(k) // 2], size)
     ok = np.ones(len(trials), dtype=bool)
-    slow[:, n_h:n_h + sym_words] = False
-    slow_rows = np.flatnonzero(slow.any(axis=1))
+    slow_rows = np.flatnonzero(slow[:, :n_h].any(axis=1)
+                               | slow[:, n_h + sym_words:].any(axis=1))
     if slow_rows.size:
         # keep only the parsed rows' words, which lowers the peak memory
         words = words[slow_rows]
+        x_rest, slow_rest = _ziggurat(words[:, lead:])
         h[slow_rows], sym[slow_rows], noise[slow_rows], ok[slow_rows] = \
-            _parse(words, n_h, k, size, n_noise)
+            _parse(words, np.hstack((x[slow_rows], x_rest)),
+                   np.hstack((slow[slow_rows], slow_rest)), n_h, k, size,
+                   n_noise)
     return h, sym, noise, ok & h.any(axis=1)
 
 

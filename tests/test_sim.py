@@ -28,6 +28,11 @@ from ostbc_lab.sim import (
     sample_channel,
 )
 
+# A wedge near-tie band wide enough that some trials of every fallback test
+# below leave the batched draw and are redrawn per trial; since ziggurat
+# tails are decoded in the batch, only near-ties and overlong rows do.
+WIDE_BAND = 2.0 ** -12
+
 
 def substream(seed, point, trial):
     # the documented per-trial keying: (seed, point << 32 | trial)
@@ -211,8 +216,10 @@ def test_run_ber_deterministic(monkeypatch):
 def test_sweep_decomposes_into_trials(monkeypatch, decoders):
     # the chunked sweep must give exactly the error totals of per-trial
     # decoding on the documented substreams, across draw block and chunk
-    # boundaries, with some trials redrawn off the batched draw
+    # boundaries, with some trials redrawn off the batched draw: a wider
+    # band sends wedge near-ties there
     monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
+    monkeypatch.setattr(_substreams, "_BAND", WIDE_BAND)
     code, const = get_code("g2"), get_constellation("4qam")
     # one whole draw block and a clipped second one
     cfg = SimConfig(code="g2", constellation="4qam", snr_db=(0.0,),
@@ -241,8 +248,10 @@ def test_sweep_decomposes_into_trials(monkeypatch, decoders):
 @pytest.mark.parametrize("draw", [96, 128, 1000])
 def test_sweep_independent_of_draw_block(monkeypatch, draw):
     # 1100 trials cross several draw blocks and decode chunks of every
-    # size here, and some g3 m=2 trials fall back to a per-trial redraw
+    # size here, and some g3 m=2 trials, wedge near-ties under a wider
+    # band, fall back to a per-trial redraw
     monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
+    monkeypatch.setattr(_substreams, "_BAND", WIDE_BAND)
     cfg = SimConfig(code="g3", constellation="16qam", snr_db=(0.0,),
                     trials=1100, seed=31, m=2)
     code = get_code("g3")
@@ -380,15 +389,17 @@ def test_all_cores_means_usable_cpus(monkeypatch):
 @pytest.fixture(scope="module")
 def multi_task_sweep():
     # one g3 m=2 point over three tasks, the last one partial, with some
-    # trials on the per-trial fallback path
+    # trials, wedge near-ties under a wider band, on the per-trial fallback
+    # path
     code = get_code("g3")
     cfg = SimConfig(code="g3", constellation="16qam", snr_db=(0.0,),
                     trials=2 * sim._TASK + 1100, seed=47, m=2)
     assert cfg.trials % sim._TASK
-    ok = _substreams.draw(cfg.seed, 0, np.arange(cfg.trials), 2 * code.n * 2,
-                          code.k, 16, 2 * 2 * code.t)[3]
-    assert not ok.all()
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_substreams, "_BAND", WIDE_BAND)
+        ok = _substreams.draw(cfg.seed, 0, np.arange(cfg.trials),
+                              2 * code.n * 2, code.k, 16, 2 * 2 * code.t)[3]
+        assert not ok.all()
         mp.delenv("OSTBC_LAB_THREADS", raising=False)
         return cfg, ber_to_json(run_ber(cfg))
 
@@ -397,10 +408,12 @@ def multi_task_sweep():
 @pytest.mark.parametrize("threads", [None, "1", "2", "3"],
                          ids=["unset", "1", "2", "3"])
 def test_sweep_independent_of_worker_count(monkeypatch, multi_task_sweep,
-                                           threads, task):
+                                           no_live_pool, threads, task):
     # a task size off the decode chunk grid splits chunks across workers;
-    # the CPU count is raised so "3" runs three workers on any host
+    # the CPU count is raised so "3" runs three workers on any host.  The
+    # pool forks after the band is widened, so workers redraw near-ties too
     cfg, serial = multi_task_sweep
+    monkeypatch.setattr(_substreams, "_BAND", WIDE_BAND)
     if threads is None:
         monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
     else:

@@ -96,49 +96,95 @@ def test_ziggurat_tables_match_live_generator():
 # -- batched draws -----------------------------------------------------------
 
 SEED = 2026
-# Trials of point 0 whose first channel normal takes each ziggurat path.
+# Trials of point 0 whose first channel normal takes each ziggurat path; the
+# tails: bit 17 clear, bit 17 set, and a first uniform pair rejected.
 PATHS = {"fast": 0, "accept": 35, "reject": 96, "tail": 1996,
-         "adjacent": 4700}
+         "tail-minus": 6054, "tail-reject": 227750, "adjacent": 4700,
+         "tail-past": 366108, "short": 95232}
+# The code and M whose rows "tail-past" and "short" overrun: the last noise
+# normal is a tail whose uniforms run past the words ``draw`` reads, or a
+# fast word one past them.
+PAST = ("g3", 2)
+
+
+def words_consumed(rng):
+    """Raw words a Philox generator has handed out so far."""
+    state = rng.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
 
 
 def first_normal_path(trial):
     """The path of the first normal on the trial's substream, read from the
-    live generator (words consumed) and its first raw word."""
+    live generator (words consumed) and its first raw words."""
     key = raw_key(SEED, 0, trial)
     words = np.random.Philox(key=key).random_raw(2)
     idx = (words & 0xFF).astype(np.intp)
     slow = (words >> 9) & ((1 << 52) - 1) >= _substreams._KI[idx]
     gen = np.random.Generator(np.random.Philox(key=key))
     gen.standard_normal()
-    used = gen.bit_generator.state["buffer_pos"]
+    used = words_consumed(gen)
     if used == 1:
         return "fast"
     if idx[0] == 0:
-        return "tail"
+        if used > 3:
+            return "tail-reject"
+        return "tail-minus" if words[0] >> 17 & 1 else "tail"
     if slow[1]:
         return "adjacent"
     return "accept" if used == 2 else "reject"
 
 
+def last_noise_normal(trial, cid, m):
+    """The last noise normal of the trial against the words ``draw`` reads
+    per trial: (its first raw word, that word's index, the words consumed
+    after it, the words read)."""
+    code = get_code(cid)
+    n_h, n_noise = 2 * code.n * m, 2 * m * code.t
+    gen = trial_rng(SEED, 0, trial)
+    gen.standard_normal(n_h)
+    gen.integers(0, 16, code.k)
+    gen.standard_normal(n_noise - 1)
+    first = words_consumed(gen)
+    gen.standard_normal()
+    word = np.random.Philox(key=raw_key(SEED, 0, trial)) \
+        .random_raw(first + 1)[first]
+    return (int(word), first, words_consumed(gen),
+            _substreams.words_per_trial(n_h, code.k, n_noise))
+
+
 def test_path_keys_hit_their_paths():
     for path, trial in PATHS.items():
-        assert first_normal_path(trial) == path
+        if path == "tail-past":
+            word, first, end, width = last_noise_normal(trial, *PAST)
+            slow = (word >> 9) & ((1 << 52) - 1) >= _substreams._KI[0]
+            assert word & 0xFF == 0 and slow
+            assert first < width < end == first + 3
+        elif path == "short":
+            _, first, end, width = last_noise_normal(trial, *PAST)
+            assert first == width and end == width + 1
+        else:
+            assert first_normal_path(trial) == path
 
 
 @pytest.mark.parametrize("snr", [0.0, 12.0, math.inf])
 @pytest.mark.parametrize("mod", ["4qam", "16qam"])
 @pytest.mark.parametrize("cid,m", CODES_M + [("g3", 1), ("h3", 2)])
-def test_chunk_draws_equal_per_trial_generator(cid, m, mod, snr):
+def test_chunk_draws_equal_per_trial_generator(monkeypatch, cid, m, mod,
+                                               snr):
     code, size = get_code(cid), get_constellation(mod).size
     scale = _noise_scale(snr)
-    trials = np.concatenate([np.arange(100), list(PATHS.values())])
-    _, _, _, ok = _substreams.draw(SEED, 0, trials, 2 * code.n * m, code.k,
-                                   size, 2 * m * code.t)
-    fallback = {PATHS["tail"]}
-    assert {int(t) for t in trials[~ok]} >= fallback
-    assert ok[-len(PATHS):].tolist() == [t not in fallback
-                                         for t in PATHS.values()]
     n_h, n_noise = 2 * code.n * m, 2 * m * code.t
+    trials = np.concatenate([np.arange(100), list(PATHS.values())])
+    # tails are decoded in the batch; only rows that overrun fall back
+    ok = _substreams.draw(SEED, 0, trials, n_h, code.k, size, n_noise)[3]
+    fallback = ({PATHS["tail-past"], PATHS["short"]} if (cid, m) == PAST
+                else set())
+    assert {int(t) for t in trials[~ok]} == fallback
+    # a wider band sends wedge near-ties to the per-trial redraw too; at
+    # 2**-10 no g2 row of these falls back yet
+    monkeypatch.setattr(_substreams, "_BAND", 2.0 ** -8)
+    ok = _substreams.draw(SEED, 0, trials, n_h, code.k, size, n_noise)[3]
+    assert not ok[:100].all()
     h, sym, noise, redraws = draw_block(SEED, 0, trials, n_h, code.k, size,
                                         n_noise)
     assert redraws == 0
@@ -153,10 +199,20 @@ def test_chunk_draws_equal_per_trial_generator(cid, m, mod, snr):
         np.testing.assert_array_equal(noise[i], want[2] * scale)
 
 
-def words_consumed(rng):
-    """Raw words a Philox generator has handed out so far."""
-    state = rng.bit_generator.state
-    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+def test_tail_keys_decode_like_the_generator():
+    # every key of seed 7 among the first 200,000 with a tail word (layer 0,
+    # slow) among its first 8 words, drawn as 8 channel normals
+    trials = np.arange(200_000)
+    words = _substreams.philox_words(7, trials, 2)[:, :8]
+    rabs = (words >> 9) & ((1 << 52) - 1)
+    tails = trials[((words & 0xFF == 0) & (rabs >= _substreams._KI[0]))
+                   .any(axis=1)]
+    assert len(tails) == 420
+    h, _, _, ok = _substreams.draw(7, 0, tails, 8, 0, 1, 0)
+    assert ok.all()
+    for row, t in zip(h, tails):
+        np.testing.assert_array_equal(
+            row, trial_rng(7, 0, int(t)).standard_normal(8))
 
 
 @pytest.mark.parametrize("slow", [False, True], ids=["no-slow", "all-slow"])
@@ -181,8 +237,8 @@ def test_blocks_of_one_path_equal_per_trial_generator(cid, m, slow):
     assert len(trials) == 48
     h, sym, noise, ok = _substreams.draw(SEED, 0, trials, n_h, code.k, size,
                                          n_noise)
-    # every trial without a slow word is ok; of the others, only tails,
-    # near-ties and overlong runs fall back
+    # every trial without a slow word is ok; of the others, only near-ties
+    # and overlong runs fall back
     assert ok.all() if not slow else ok.mean() > 0.5
     for i in np.flatnonzero(ok):
         np.testing.assert_array_equal(h[i], want[i][0])
@@ -216,4 +272,4 @@ def test_batched_draws_match_generator_over_a_million_keys():
                 assert np.array_equal(noise[i], rng.standard_normal(n_noise))
         rate = fallbacks / per_code
         print(f"{cid} m={m}: {per_code} keys, fallback rate {rate:.4%}")
-        assert rate < 0.03
+        assert rate < 1e-4
