@@ -122,7 +122,17 @@ def quantize(z: float, alphabet) -> tuple[int, float]:
 
 
 def quantize_indices(z, alphabet) -> np.ndarray:
-    """Vectorized nearest-point indices with the same midpoint tie rule."""
-    alphabet = np.asarray(alphabet, dtype=float)
-    mids = _midpoints(alphabet)
-    return np.searchsorted(mids, np.asarray(z, dtype=float), side="left")
+    """Vectorized nearest-point indices with the same midpoint tie rule.
+
+    The index of z is the number of midpoints below it, counted with one
+    comparison per midpoint; that is bit for bit
+    ``np.searchsorted(mids, z, side="left")`` (NaN maps to the last index,
+    and a scalar z gives a scalar), at a few comparisons per value instead
+    of a binary search.
+    """
+    z = np.asarray(z, dtype=float)
+    idx = np.zeros(z.shape, dtype=np.intp)
+    for mid in _midpoints(alphabet):
+        # not (z <= mid), so that NaN counts every midpoint as below it
+        idx += ~(z <= mid)
+    return idx if idx.ndim else idx[()]

@@ -38,7 +38,9 @@ Gram matrix G = Hc^T Hc and r = Hc^T ycheck computed for every trial, never
 assumed to be sigma I.  Splitting x into halves u and v turns the metric of
 every candidate into one small product per trial of per-half terms.
 ``_SLICE`` bounds how many (trial, candidate) metrics exist at once, not
-the per-trial factor arrays, which grow with the batch size.
+the per-trial factor arrays, which grow with the batch size;
+``_search_floats`` gives the largest per-trial array, by which the sweep
+sizes its decode chunks.
 ``decode_lattice``, ``decode_trace``, ``decode_F``, ``decode_Fprime`` and
 ``exhaustive_ml`` are their one-trial forms.
 """
@@ -290,6 +292,22 @@ def _half_metric(gram: np.ndarray, r: np.ndarray,
     return coef @ features
 
 
+def _halves(dims: int) -> tuple[int, int]:
+    """(du, dv): the search splits x into u, its first dims // 2
+    components, and v, the rest."""
+    du = dims // 2
+    return du, dims - du
+
+
+def _search_floats(dims: int, levels: int) -> int:
+    """Floats in the largest per-trial array ``exhaustive_indices`` builds
+    outside its metric slices: [G | r], dims x (dims + 1), or a factor
+    array, (dv + 2) x L**du or (dv + 2) x L**dv, of which the v one is the
+    larger since dv >= du."""
+    du, dv = _halves(dims)
+    return max(dims * (dims + 1), (dv + 2) * levels ** dv)
+
+
 def exhaustive_indices(hc: np.ndarray, yv: np.ndarray,
                        constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force ML: argmin_x ||ycheck - Hc x||^2 over the full grid.
@@ -324,8 +342,7 @@ def exhaustive_indices(hc: np.ndarray, yv: np.ndarray,
         raise SearchSpaceError(
             f"{levels}**{dims} candidates exceed {MAX_SEARCH_SPACE}")
     alphabet = tuple(constellation.component_alphabet)
-    du = dims // 2
-    dv = dims - du
+    du, dv = _halves(dims)
     ugrid, ufeatures = _half_grid(alphabet, du)
     vgrid, vfeatures = _half_grid(alphabet, dv)
     nu, nv = ugrid.shape[1], vgrid.shape[1]

@@ -20,15 +20,20 @@ the words set the draw's peak memory, so a code that takes few words per
 trial draws more trials per call for the same memory (g3 at M=2, 56 words
 a trial, draws 512; g2 at M=1, 20 words, draws 1433).  Each draw block is
 transmitted and decoded by one call: Hc, the transmit product, the matched
-filters and the exhaustive search run ``_CHUNK`` trials at a time, since Hc
-(B x 2MT x 2K), the evaluation and matched-filter arrays and the exhaustive
-search's per-trial factor arrays set peak memory (``decoders._SLICE``
-bounds only the search's metric array); the symbol to component mapping,
-sigma, the scaling and quantization, the agreement check and the error
-count run once per draw block, on small (B, 2K) arrays, so their fixed cost
-per NumPy call is spread over the whole block.  The error count compares
-integer component indices.  ``run_trial`` transmits and decodes through the
-same function, a batch of one.
+filters and the exhaustive search run a decode chunk at a time
+(``_chunk_trials``), since Hc (B x 2MT x 2K), the evaluation and
+matched-filter arrays and the exhaustive search's per-trial [G | r] and
+factor arrays set peak memory (``decoders._SLICE`` bounds only the search's
+metric array).  The decode pays a fixed cost per NumPy call as well, so a
+chunk holds as many trials as keep its largest per-trial array within
+``_DECODE_FLOATS`` floats, and at least ``_CHUNK``: g3 at M=2 (Hc 32 x 8)
+decodes 128 trials a chunk, g2 (Hc 4 x 4) 2048, more than its block, and a
+16qam search on g3, g4 or h3 stays at 128.  The symbol to component
+mapping, sigma, the scaling and quantization, the agreement check and the
+error count run once per draw block, on small (B, 2K) arrays, so their
+fixed cost per NumPy call is spread over the whole block.  The error count
+compares integer component indices.  ``run_trial`` transmits and decodes
+through the same function, a batch of one.
 
 Workers: a sweep is cut into (point, block) tasks of ``_TASK`` trials, the
 last task of each point clipped, and so is the last draw block of each
@@ -55,7 +60,8 @@ tasks, so the next sweep starts on fresh workers; the workers left at exit
 are joined by ``concurrent.futures``.  The workers hold this module's state
 as it was when the pool was made.  That is safe: a task reads only its
 pickled ``SimConfig`` and the immutable built-in codes and constellations,
-and no result depends on ``_DRAW_WORDS``, ``_CHUNK`` or ``_TASK``.
+and no result depends on ``_DRAW_WORDS``, ``_DECODE_FLOATS``, ``_CHUNK``
+or ``_TASK``.
 
 Error counting uses the first selected decoder; any further selected
 decoders are run in the same batch and compared, with disagreements counted
@@ -83,6 +89,7 @@ from .constellation import get_constellation, quantize_indices
 from .decoders import (
     MATCHED_FILTERS,
     DecodedMessage,
+    _search_floats,
     exhaustive_indices,
 )
 from .lattice import (
@@ -111,8 +118,10 @@ __all__ = [
 
 SCHEMA = "ostbc-lab/1"
 DECODER_NAMES = (*MATCHED_FILTERS, "exhaustive")
-# Trials per Hc evaluation, transmit product and matched filter; bounds
-# those arrays.
+# Floats of a decode chunk's largest per-trial array, over all its trials:
+# 128 trials of g3 at M=2, whose Hc is 32 x 8 (see above).
+_DECODE_FLOATS = 128 * 256
+# The fewest trials per decode chunk.
 _CHUNK = 128
 # Raw Philox words per draw block, whose trials are drawn, quantized and
 # counted together: 512 trials of g3 at M=2, the most words per trial of the
@@ -239,12 +248,27 @@ def _noise_scale(snr_db: float) -> float:
     return math.sqrt(n0 / 2.0)
 
 
+def _chunk_trials(code, const, m: int, decoders) -> int:
+    """Trials per decode chunk: as many as keep the chunk's largest
+    per-trial array within `_DECODE_FLOATS` floats, at least `_CHUNK`.
+
+    That array is Hc (2MT x 2K) or, with the exhaustive search selected,
+    the larger of the search's own (``decoders._search_floats``).
+    """
+    dims = 2 * code.k
+    per_trial = 2 * m * code.t * dims
+    if "exhaustive" in decoders:
+        per_trial = max(per_trial, _search_floats(dims, const.levels))
+    return max(_CHUNK, _DECODE_FLOATS // per_trial)
+
+
 def _run_batch(code, const, m, h, sent, noise, decoders):
     """Transmit and decode one trial per row of the drawn (h, sent, noise).
 
     Hc, the transmit product, the matched filters and the exhaustive search
-    run `_CHUNK` rows at a time; the component mapping, sigma, the scaling
-    and quantization and the agreement check run once on the whole batch.
+    run `_chunk_trials` rows at a time; the component mapping, sigma, the
+    scaling and quantization and the agreement check run once on the whole
+    batch.
     Returns (sent component indices (B, 2K), decoded indices (B, 2K) per
     decoder name, per-trial agreement of every decoder with the first (B,)).
     """
@@ -256,8 +280,9 @@ def _run_batch(code, const, m, h, sent, noise, decoders):
     decoded = {name: np.empty(comp.shape, dtype=np.intp
                               if name == "exhaustive" else float)
                for name in decoders}
-    for lo in range(0, len(h), _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
+    chunk = _chunk_trials(code, const, m, decoders)
+    for lo in range(0, len(h), chunk):
+        rows = slice(lo, lo + chunk)
         hc = evaluate_lattice_batch(lat, h[rows])
         yv = np.einsum("bpj,bj->bp", hc, x[rows]) + noise[rows]
         for name, out in decoded.items():

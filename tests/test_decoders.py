@@ -9,6 +9,7 @@ from ostbc_lab import decoders
 from ostbc_lab.codes import builtin_code_ids, get_code
 from ostbc_lab.constellation import (
     ConstellationError,
+    _midpoints,
     get_constellation,
     quantize,
     quantize_indices,
@@ -130,6 +131,30 @@ def test_quantize_indices_vectorized():
     zs = np.linspace(-1.5, 1.5, 101)
     want = [quantize(z, alpha)[0] for z in zs]
     np.testing.assert_array_equal(quantize_indices(zs, alpha), want)
+
+
+@pytest.mark.parametrize("alpha", [
+    get_constellation("4qam").component_alphabet,
+    get_constellation("16qam").component_alphabet,
+    [-2.0, -0.5, 0.1, 0.25, 3.0],
+], ids=["4qam", "16qam", "uneven"])
+def test_quantize_indices_is_searchsorted(alpha):
+    # counting the midpoints below z must be the binary search bit for bit,
+    # values, dtype and scalar results alike: on every midpoint and its two
+    # float neighbours, on NaN, the infinities and signed zeros, and on a
+    # (B, 2K) batch holding all of them
+    mids = _midpoints(alpha)
+    edges = np.concatenate([
+        mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+        [np.nan, np.inf, -np.inf, 0.0, -0.0]])
+    batch = np.random.default_rng(19).standard_normal((64, 8))
+    batch.flat[:edges.size] = edges
+    for z in (batch, *edges, *map(float, edges)):
+        got = quantize_indices(z, alpha)
+        want = np.searchsorted(mids, z, side="left")
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 # -- matched-filter decoders ------------------------------------------------

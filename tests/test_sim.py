@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -286,20 +287,74 @@ def test_draw_block_of_one_trial_when_budget_is_small(monkeypatch):
     assert sim._block_trials(get_code("g4"), 2) == 1
 
 
-@pytest.mark.parametrize("chunk", [1, 37, 512])
+@pytest.mark.parametrize("chunk", [1, 37, 512, "block"])
 @pytest.mark.parametrize("cfg", [
     SimConfig(code="g3", constellation="16qam", snr_db=(0.0,), trials=1100,
               seed=31, m=2),
     SimConfig(code="g2", constellation="4qam", snr_db=(0.0, 6.0), trials=300,
               seed=2024, decoders=("all",)),
-], ids=["g3m2-lattice", "g2-all"])
+    SimConfig(code="g4", constellation="4qam", snr_db=(0.0,), trials=900,
+              seed=7, decoders=("all",)),
+], ids=["g3m2-lattice", "g2-all", "g4-all"])
 def test_sweep_independent_of_decode_chunk(monkeypatch, cfg, chunk):
     # the decode chunk bounds memory only: Hc, the transmit product and the
-    # matched filters run per chunk, everything else per draw block
+    # matched filters run per chunk, everything else per draw block.  With
+    # no float budget a chunk is exactly `_CHUNK` trials; "block" decodes
+    # each draw block (796 trials for g4) in one chunk
     monkeypatch.delenv("OSTBC_LAB_THREADS", raising=False)
     default = ber_to_json(run_ber(cfg))
+    code = get_code(cfg.code)
+    if chunk == "block":
+        chunk = sim._block_trials(code, cfg.m)
+    monkeypatch.setattr(sim, "_DECODE_FLOATS", 0)
     monkeypatch.setattr(sim, "_CHUNK", chunk)
+    assert sim._chunk_trials(code, get_constellation(cfg.constellation),
+                             cfg.m, cfg.decoders) == chunk
     assert ber_to_json(run_ber(cfg)) == default
+
+
+@pytest.mark.parametrize("cid, m, mod, decoders, want", [
+    ("g3", 2, "16qam", "lattice", 128),
+    ("g2", 1, "4qam", "lattice", 2048),
+    ("h3", 1, "4qam", "lattice", 682),
+    ("g4", 1, "4qam", "lattice", 256),
+    ("g2", 1, "4qam", "all", 1638),
+    ("h3", 1, "4qam", "all", 682),
+    ("g4", 1, "4qam", "all", 256),
+    ("g2", 1, "16qam", "exhaustive", 512),
+    ("g3", 1, "16qam", "all", 128),
+    ("g4", 1, "16qam", "all", 128),
+    ("h3", 1, "16qam", "exhaustive", 128),
+])
+def test_decode_chunk_sizes(cid, m, mod, decoders, want):
+    # a chunk holds `_DECODE_FLOATS` floats of its largest per-trial array,
+    # at least `_CHUNK` trials: Hc (2MT x 2K), or with the search selected
+    # its [G | r] (g2 4qam: 4 x 5) or its (dv + 2) x L**dv factor (g2
+    # 16qam: 4 x 16; g3, g4 16qam: 6 x 256, under the floor)
+    assert sim._chunk_trials(get_code(cid), get_constellation(mod), m,
+                             sim._decoder_names(decoders)) == want
+
+
+def test_lattice_decode_peak_within_g3m2_block():
+    # one whole draw block per built-in code, drawn and decoded
+    # lattice-only, peaks within 1.1x the g3 M=2 block that sets both
+    # budgets: larger chunks of smaller arrays cost no more memory
+    peaks = {}
+    for cid, m in [("g2", 1), ("h3", 1), ("g4", 1), ("g3", 2)]:
+        code = get_code(cid)
+        block = sim._block_trials(code, m)
+        cfg = SimConfig(code=cid, constellation="16qam", snr_db=(0.0,),
+                        trials=block, seed=3, m=m)
+        # the first call fills the per-code caches
+        sim._simulate_block(cfg, 0, 0, block)
+        tracemalloc.start()
+        try:
+            sim._simulate_block(cfg, 0, 0, block)
+            peaks[cid] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for cid in ("g2", "h3", "g4"):
+        assert peaks[cid] <= 1.1 * peaks["g3"], (cid, peaks)
 
 
 def test_noise_free_sweep_is_error_free(monkeypatch):
