@@ -201,13 +201,21 @@ def _check_shape(name: str, value: np.ndarray, want: tuple[int, ...]) -> None:
         raise ValueError(f"{name} has shape {value.shape}, expected {want}")
 
 
+def _real_vector(name: str, value, want: tuple[int, ...], *form) -> np.ndarray:
+    """`value` as a float array of shape `want`, checked before any
+    conversion: a complex value (see ``_require_real``) or another shape
+    raises ValueError."""
+    _require_real(name, value, *form)
+    value = np.asarray(value, dtype=float)
+    _check_shape(name, value, want)
+    return value
+
+
 def decode_lattice(lat: RealLattice, ycheck,
                    constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
     """ML decode from the real lattice: xhat = Hc^T ycheck / sigma."""
     _check_sigma(lat.sigma)
-    _require_real("ycheck", ycheck)
-    ycheck = np.asarray(ycheck, dtype=float)
-    _check_shape("ycheck", ycheck, lat.hcheck.shape[:1])
+    ycheck = _real_vector("ycheck", ycheck, lat.hcheck.shape[:1])
     z = _lattice(None, None, lat.hcheck, ycheck) / lat.sigma
     return SoftEstimate(z=z), _decide(z, constellation)
 
@@ -249,9 +257,8 @@ def decode_Fprime(code: DispersionCode, channel, zprime,
     """ML decode from the real 2MT x 2K equivalent channel applied to the
     real vector z' = (Re z; Im z) of length 2MT."""
     ch = _as_channel(code, channel)
-    _require_real("zprime", zprime, "(Re z; Im z), as complex_stack builds it")
-    zprime = np.asarray(zprime, dtype=float)
-    _check_shape("zprime", zprime, (2 * ch.m * code.t,))
+    zprime = _real_vector("zprime", zprime, (2 * ch.m * code.t,),
+                          "(Re z; Im z), as complex_stack builds it")
     half = zprime.size // 2
     return _decode_route("fprime", code, ch,
                          interleave(zprime[:half], zprime[half:]),
@@ -377,6 +384,8 @@ def exhaustive_indices(hc: np.ndarray, yv: np.ndarray,
 
 def exhaustive_ml(lat: RealLattice, ycheck,
                   constellation: Constellation) -> tuple[DecodedMessage, float]:
-    """One-trial ``exhaustive_indices``: (decision, metric of the winner)."""
+    """One-trial ``exhaustive_indices``: (decision, metric of the winner);
+    ycheck is checked as ``decode_lattice`` checks it."""
+    ycheck = _real_vector("ycheck", ycheck, lat.hcheck.shape[:1])
     idx, metric = exhaustive_indices(lat.hcheck, ycheck, constellation)
     return DecodedMessage.from_indices(idx, constellation), float(metric)

@@ -12,15 +12,16 @@ its own counter-keyed substream (``_substreams``), so results are
 independent of chunking, worker count, and trial interleaving.  The sweep
 draws a block of trials at a time with ``_substreams.draw_block``, and
 ``run_trial`` draws its one trial from the generator it is given with
-``_substreams.draw_trial``; both then scale the draws, the channel by
-1/sqrt(2) and the noise by sqrt(N0/2).  A draw block holds as many trials
-as fit in ``_DRAW_WORDS`` raw Philox words (``_block_trials``, at least
-one): each NumPy call of the draw has a fixed cost whatever its size, and
-the words set the draw's peak memory, so a code that takes few words per
-trial draws more trials per call for the same memory (g3 at M=2, 56 words
-a trial, draws 512; g2 at M=1, 20 words, draws 1433).  Each draw block is
-transmitted and decoded by one call: Hc, the transmit product, the matched
-filters and the exhaustive search run a decode chunk at a time
+``_substreams.draw_trial``; both hand the standard-normal draws to
+``_run_batch``, the one place the SNR convention is applied: it scales the
+channel by 1/sqrt(2) and the noise by sqrt(N0/2).  A draw block holds as
+many trials as fit in ``_DRAW_WORDS`` raw Philox words (``_block_trials``,
+at least one): each NumPy call of the draw has a fixed cost whatever its
+size, and the words set the draw's peak memory, so a code that takes few
+words per trial draws more trials per call for the same memory (g3 at M=2,
+56 words a trial, draws 512; g2 at M=1, 20 words, draws 1433).  Each draw
+block is transmitted and decoded by one call: Hc, the transmit product, the
+matched filters and the exhaustive search run a decode chunk at a time
 (``_chunk_trials``), since Hc (B x 2MT x 2K), the evaluation and
 matched-filter arrays and the exhaustive search's per-trial [G | r] and
 factor arrays set peak memory (``decoders._SLICE`` bounds only the search's
@@ -37,9 +38,10 @@ through the same function, a batch of one.
 
 Workers: a sweep is cut into (point, block) tasks of ``_TASK`` trials, the
 last task of each point clipped, and so is the last draw block of each
-task.  A task returns four integer counters (symbol errors, bit errors,
-redraws, disagreements), and a point's result is the sum of its tasks'
-counters, so one-point runs spread over workers as well as many-point runs.
+task.  A task returns one counter record, an int64 array of (symbol
+errors, bit errors, redraws, disagreements), and a point's result is the
+sum of its tasks' records, so one-point runs spread over workers as well as
+many-point runs.
 ``OSTBC_LAB_THREADS`` asks for workers; the sweep uses no more than it has
 tasks or than the CPUs the process may run on.  One worker runs the tasks in
 this process; more run them in a process pool fed from a window of
@@ -135,19 +137,20 @@ _POOL = [None, 0]
 
 
 def _decoder_names(decoders) -> tuple[str, ...]:
-    """One decoder name or several, with "all" selecting every route."""
+    """One decoder name or several, each known and given once, with "all"
+    selecting every route."""
     if isinstance(decoders, str):
         decoders = (decoders,)
+    choices = DECODER_NAMES + ("all",)
     if not decoders:
-        raise ValueError(f"decoders must be nonempty; pick from "
-                         f"{DECODER_NAMES + ('all',)}")
-    if "all" in decoders:
-        return DECODER_NAMES
-    bad = [d for d in decoders if d not in DECODER_NAMES]
+        raise ValueError(f"decoders must be nonempty; pick from {choices}")
+    bad = [d for d in decoders if d not in choices]
     if bad:
-        raise ValueError(f"unknown decoders {bad}; pick from "
-                         f"{DECODER_NAMES + ('all',)}")
-    return tuple(decoders)
+        raise ValueError(f"unknown decoders {bad}; pick from {choices}")
+    if len(set(decoders)) < len(decoders):
+        raise ValueError(f"decoders must not repeat a name; got "
+                         f"{list(decoders)}")
+    return DECODER_NAMES if "all" in decoders else tuple(decoders)
 
 
 def _integer(name: str, value) -> int:
@@ -177,16 +180,24 @@ class SimConfig:
         for field in ("trials", "seed"):
             object.__setattr__(self, field, _integer(field, getattr(self, field)))
         object.__setattr__(self, "m", _antenna_count(self.m))
+        try:
+            points = len(self.snr_db)
+        except TypeError:
+            points = None
+        # a string is a sequence too, of characters
+        if points is None or isinstance(self.snr_db, (str, bytes)):
+            raise ValueError(f"snr_db must be a sequence of SNRs in dB, "
+                             f"got {self.snr_db!r}")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
         # every trial's substream key (seed, point << 32 | trial) must fit:
         # the point and trial counts are checked as keys, before any point
         # is copied
-        _substreams.check_key(self.seed, len(self.snr_db), self.trials)
+        _substreams.check_key(self.seed, points, self.trials)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "decoders", _decoder_names(self.decoders))
         if not self.snr_db:
             raise ValueError("snr_db must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         for snr in self.snr_db:
             _noise_scale(snr)
 
@@ -262,16 +273,20 @@ def _chunk_trials(code, const, m: int, decoders) -> int:
     return max(_CHUNK, _DECODE_FLOATS // per_trial)
 
 
-def _run_batch(code, const, m, h, sent, noise, decoders):
+def _run_batch(code, const, m, h, sent, noise, scale, decoders):
     """Transmit and decode one trial per row of the drawn (h, sent, noise).
 
-    Hc, the transmit product, the matched filters and the exhaustive search
-    run `_chunk_trials` rows at a time; the component mapping, sigma, the
-    scaling and quantization and the agreement check run once on the whole
-    batch.
+    The one place the SNR convention is applied: the standard-normal draws
+    are scaled in place, the channel by 1/sqrt(2) and the noise by `scale`
+    (``_noise_scale``).  Hc, the transmit product, the matched filters and
+    the exhaustive search run `_chunk_trials` rows at a time; the component
+    mapping, sigma, the division by sigma and quantization and the
+    agreement check run once on the whole batch.
     Returns (sent component indices (B, 2K), decoded indices (B, 2K) per
     decoder name, per-trial agreement of every decoder with the first (B,)).
     """
+    h *= RSQRT2
+    noise *= scale
     lat = build_symbolic_lattice(code, m)
     # symbol index = Re component index * levels + Im component index
     comp = interleave(*np.divmod(sent, const.levels))
@@ -321,10 +336,8 @@ def run_trial(code, constellation, snr_db: float, rng: np.random.Generator,
     n_h, k, n_noise = _draw_dims(code, m)
     h, sym, noise, redraws = _substreams.draw_trial(rng, n_h, k, const.size,
                                                     n_noise)
-    h *= RSQRT2
-    noise *= scale
     comp, decoded, agree = _run_batch(code, const, m, h[None], sym[None],
-                                      noise[None], decoders)
+                                      noise[None], scale, decoders)
     return TrialResult(
         sent=comp[0],
         decoded={name: DecodedMessage.from_indices(idx[0], const)
@@ -354,38 +367,35 @@ def _block_trials(code, m: int) -> int:
 
 
 def _simulate_block(config: SimConfig, point: int, start: int,
-                    stop: int) -> tuple[int, int, int, int]:
+                    stop: int) -> np.ndarray:
     """Sweep trials [start, stop) of one SNR point a draw block
     (``_block_trials``) at a time, the last one clipped, running every
     selected decoder on each draw block.
 
-    Returns the counters (symbol errors, bit errors, redraws,
-    disagreements), which add up over the blocks of a point.
+    Returns the counter record, an int64 array of (symbol errors, bit
+    errors, redraws, disagreements), which adds up over the blocks of a
+    point.
     """
     code = get_code(config.code)
     const = get_constellation(config.constellation)
     scale = _noise_scale(config.snr_db[point])
     n_h, k, n_noise = _draw_dims(code, config.m)
     block = _block_trials(code, config.m)
-    sym_errors = bit_errors = redraws = disagreements = 0
+    counters = np.zeros(4, dtype=np.int64)
     for lo in range(start, stop, block):
         trials = np.arange(lo, min(lo + block, stop))
-        h, sym, noise, r = _substreams.draw_block(
+        h, sym, noise, redraws = _substreams.draw_block(
             config.seed, point, trials, n_h, k, const.size, n_noise)
-        h *= RSQRT2
-        noise *= scale
         comp, decoded, agree = _run_batch(code, const, config.m, h, sym,
-                                          noise, config.decoders)
-        se, be = _count_errors(comp, decoded[config.decoders[0]], const.gray)
-        sym_errors += se
-        bit_errors += be
-        redraws += r
-        disagreements += int(np.count_nonzero(~agree))
-    return sym_errors, bit_errors, redraws, disagreements
+                                          noise, scale, config.decoders)
+        counters += (*_count_errors(comp, decoded[config.decoders[0]],
+                                    const.gray),
+                     redraws, np.count_nonzero(~agree))
+    return counters
 
 
 def _point_result(config: SimConfig, point: int, counters) -> PointResult:
-    sym_errors, bit_errors, redraws, disagreements = counters
+    sym_errors, bit_errors, redraws, disagreements = map(int, counters)
     code = get_code(config.code)
     const = get_constellation(config.constellation)
     n_sym = config.trials * code.k
@@ -486,9 +496,9 @@ def run_ber(config: SimConfig) -> BerResult:
     of worker count."""
     workers = _worker_count(resolve_workers(), len(config.snr_db),
                             config.trials, _usable_cpus())
-    totals = [(0, 0, 0, 0)] * len(config.snr_db)
+    totals = np.zeros((len(config.snr_db), 4), dtype=np.int64)
     for point, counters in _task_counters(config, workers):
-        totals[point] = tuple(map(operator.add, totals[point], counters))
+        totals[point] += counters
     return BerResult(config=config, rng="philox", points=tuple(
         _point_result(config, p, c) for p, c in enumerate(totals)))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,29 @@ def test_simulate_rejects_undefined_snr(capsys, tmp_path, snr):
     assert rc == 2
     assert "snr_db" in err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("decoders, match", [
+    ("all,bogus", r"unknown decoders \['bogus'\]"),
+    ("lattice,lattice", "decoders must not repeat a name"),
+], ids=["unknown-next-to-all", "repeated"])
+def test_simulate_rejects_decoder_list(capsys, tmp_path, decoders, match):
+    rc, out, err = run(capsys, "simulate", "--code", "g2", "--mod", "4qam",
+                       "--snr", "0", "--trials", "10", "--decoders",
+                       decoders, "--out", str(tmp_path / "x"))
+    assert rc == 2
+    assert out == ""
+    assert re.search(match, err)
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_simulate_negative_trials_names_the_option(capsys, tmp_path):
+    rc, out, err = run(capsys, "simulate", "--code", "g2", "--mod", "4qam",
+                       "--snr", "0", "--trials", "-5",
+                       "--out", str(tmp_path / "x"))
+    assert rc == 2
+    assert out == ""
+    assert "error: trials must be >= 1" in err
 
 
 def test_version_flag(capsys):

@@ -453,6 +453,21 @@ def test_decode_lattice_rejects_complex_ycheck():
         decode_lattice(lat, np.arange(4) + 1j, const)
 
 
+@pytest.mark.parametrize("ycheck, match", [
+    (np.arange(4) + 1j, "^ycheck is complex; .*vectorize_received"),
+    (np.ones(5), r"^ycheck has shape \(5,\), expected \(4,\)$"),
+    (np.ones((1, 4)), r"^ycheck has shape \(1, 4\), expected \(4,\)$"),
+], ids=["complex", "too-long", "batched"])
+def test_exhaustive_ml_checks_ycheck_as_decode_lattice(ycheck, match):
+    # unchecked, a complex ycheck is searched on its real part with only a
+    # ComplexWarning, and a wrong length fails inside NumPy's reshape
+    code, const = get_code("g2"), get_constellation("4qam")
+    lat = build_check_H(code, np.ones((2, 1), dtype=complex))
+    for decode in (decode_lattice, exhaustive_ml):
+        with pytest.raises(ValueError, match=match):
+            decode(lat, ycheck, const)
+
+
 def test_soft_symbols_view():
     const = get_constellation("4qam")
     lat = build_check_H(get_code("g2"), np.array([[1.0 + 0j], [0.0]]))

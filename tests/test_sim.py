@@ -85,8 +85,12 @@ def test_noisy_trial_decoders_agree():
     ({"m": 1.5}, "^m must be an integer$"),
     ({"m": "2"}, "^m must be an integer$"),
     ({"snr_db": -4000.0}, r"snr_db values must be finite or \+inf"),
+    ({"decoders": ("all", "bogus")}, r"^unknown decoders \['bogus'\]"),
+    ({"decoders": ("lattice", "lattice")}, "^decoders must not repeat"),
+    ({"decoders": ("all", "all")}, "^decoders must not repeat"),
 ], ids=["nan-snr", "-inf-snr", "no-decoders", "float-m", "str-m",
-        "overflowing-snr"])
+        "overflowing-snr", "unknown-next-to-all", "repeated-decoder",
+        "repeated-all"])
 def test_run_trial_rejects(kw, match):
     # without the checks a NaN soft output quantizes to the top index
     # silently, no decoder fails with an IndexError, and a float m fails
@@ -178,11 +182,36 @@ def test_config_normalization(monkeypatch):
     # run_ber would fail with an IndexError, in a pool worker when there
     # are several
     {"decoders": ()},
+    # every name is checked before "all" is expanded, and none may repeat
+    {"decoders": ("all", "bogus")},
+    {"decoders": ("bogus", "all")},
+    {"decoders": ("lattice", "lattice")},
+    {"decoders": ("lattice", "all", "lattice")},
 ])
 def test_config_rejects(kw):
     base = dict(code="g2", constellation="4qam", snr_db=(0.0,),
                 trials=10, seed=0)
     with pytest.raises(ValueError):
+        SimConfig(**{**base, **kw})
+
+
+@pytest.mark.parametrize("kw, match", [
+    # a string would be read as one SNR per character, and an unsized
+    # value failed with a TypeError that named no field
+    ({"snr_db": "12"}, "^snr_db must be a sequence of SNRs in dB, got '12'$"),
+    ({"snr_db": b"12"}, "^snr_db must be a sequence"),
+    ({"snr_db": 6.0}, "^snr_db must be a sequence of SNRs in dB, got 6.0$"),
+    ({"snr_db": np.float64(6.0)}, "^snr_db must be a sequence"),
+    ({"snr_db": np.array(6.0)}, "^snr_db must be a sequence"),
+    # the trial count is checked before it is checked as a substream key
+    ({"trials": -5}, "^trials must be >= 1$"),
+    ({"trials": 0, "seed": -1}, "^trials must be >= 1$"),
+], ids=["str-snr", "bytes-snr", "float-snr", "numpy-float-snr",
+        "0d-array-snr", "negative-trials", "zero-trials-bad-seed"])
+def test_config_rejection_names_the_field(kw, match):
+    base = dict(code="g2", constellation="4qam", snr_db=(0.0,),
+                trials=10, seed=0)
+    with pytest.raises(ValueError, match=match):
         SimConfig(**{**base, **kw})
 
 
