@@ -30,27 +30,33 @@ raises the same error when counted.
 Representation: ``Op`` and ``Slot`` are ``typing.NamedTuple``s, immutable
 and hashable; derive a changed copy with ``op._replace(...)``, since
 ``dataclasses.replace`` does not accept them.  The builder makes one ``Op``
-and one temp ``Slot`` per emitted op, and a tuple is built in well under
-half the time of a frozen dataclass.  ``Schedule`` is a frozen dataclass
-holding tuples of them.
+per emitted op, built straight from ``tuple.__new__``.  Temp slots are
+shared value objects: temp t<k> is the same ``Slot`` in every schedule, so
+the builder appends the module's k-th temp instead of making one per op.
+``Schedule`` is a frozen dataclass holding tuples of them.
 
 Execution: on its first ``execute_schedule`` a schedule is compiled once
 into a register plan by a linear scan over its ops (Poletto & Sarkar,
 "Linear Scan Register Allocation", TOPLAS 21(5), 1999).  Every temp and
 entry slot gets a register, which returns to a free list after the last op
 that reads it; outputs stay live to the end.  An entry slot is bound just
-before its first use, not up front.  Each call then allocates one
-(``Schedule.registers``, *batch) float64 block and runs every op as one
-NumPy ufunc writing into its register, reading h and ycheck as contiguous
-(n, *batch) columns.  Peak memory is about registers x B x 8 bytes plus
-the inputs, their column copies and the output.  The outputs are bit for
-bit those of evaluating the ops one by one in program order.
+before its first use, not up front, as 0.0 plus each term in stored order:
+a +-1-tag term is one ADD or SUB of its h column from the running sum (IEEE
+defines a - b as a + (-b), signed zeros included), and a +-1/sqrt(2)-tag
+term a MUL by the tag, then an ADD.  Plan constants are NumPy float64
+scalars.  Each call then allocates one (``Schedule.registers``, *batch)
+float64 block and runs every step as one NumPy ufunc writing into its
+register, reading h and ycheck as contiguous (n, *batch) columns.  Peak
+memory is about registers x B x 8 bytes plus the inputs, their column
+copies and the output.  The outputs are bit for bit those of evaluating the
+ops one by one in program order.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -145,10 +151,28 @@ def _coerce_level(level) -> int:
     return int(level)
 
 
+# Op without the NamedTuple's Python-level __new__: Op is built once per
+# emitted op, and this makes the same tuple in about 60% of the time.
+_new_op = partial(tuple.__new__, Op)
+
+# _TEMPS[k] is temp slot t<k+1>.  A temp slot holds no value of its own, so
+# every schedule shares these objects; the list grows under the lock so that
+# builders on several threads cannot misnumber it.
+_TEMPS: list[Slot] = []
+_TEMPS_LOCK = threading.Lock()
+
+
+def _temp(k: int) -> Slot:
+    with _TEMPS_LOCK:
+        while len(_TEMPS) <= k:
+            _TEMPS.append(Slot(f"t{len(_TEMPS) + 1}", "temp"))
+    return _TEMPS[k]
+
+
 class _Builder:
     """Accumulates slots and ops; interns inputs and constants.
 
-    Every op writes a fresh temp slot, so temp t<k> is the k-th op's dst.
+    Every op writes the next temp slot, so temp t<k> is the k-th op's dst.
     """
 
     def __init__(self) -> None:
@@ -191,9 +215,10 @@ class _Builder:
         return self.const("rsqrt2", RSQRT2)
 
     def emit(self, kind: str, args: tuple[int, ...]) -> int:
-        dst = len(self.slots)
-        self.slots.append(Slot(f"t{len(self.ops) + 1}", "temp"))
-        self.ops.append(Op(kind, dst, args))
+        slots, ops = self.slots, self.ops
+        dst, k = len(slots), len(ops)
+        slots.append(_TEMPS[k] if k < len(_TEMPS) else _temp(k))
+        ops.append(_new_op((kind, dst, args)))
         return dst
 
     # ADD and MUL commute; their operands are stored in ascending order.
@@ -366,7 +391,7 @@ class _Plan(NamedTuple):
     """
 
     registers: int
-    consts: tuple[float, ...]
+    consts: tuple[np.float64, ...]
     steps: tuple[tuple, ...]
     outputs: tuple[int, ...]
 
@@ -397,7 +422,7 @@ def _compile_plan(sched: Schedule) -> _Plan:
     def const(key, value: float) -> int:
         """Operand of a constant; key is a const slot id or a str."""
         if key not in consts:
-            consts[key] = (len(consts), value)
+            consts[key] = (len(consts), np.float64(value))
         return sched.n_h + sched.n_y + consts[key][0]
 
     def alloc() -> int:
@@ -407,13 +432,19 @@ def _compile_plan(sched: Schedule) -> _Plan:
         registers += 1
         return -registers
 
-    def bind_entry(form: LinForm) -> int:
+    def bind_entry(name: str, form: LinForm) -> int:
         acc = const("zero", 0.0)
         for i, tag in form:
+            if not 0 <= i < sched.n_h:
+                raise RuntimeError(f"slot {name} reads h index {i} of "
+                                   f"{sched.n_h}")
             t = alloc()
-            steps.append((np.multiply, i, const(f"tag{tag}", _TAG_VALUES[tag]),
-                          t))
-            steps.append((np.add, acc, t, t))
+            if abs(tag) == 1:  # acc - h is acc + (-1.0 * h) exactly
+                steps.append((np.add if tag == 1 else np.subtract, acc, i, t))
+            else:
+                steps.append((np.multiply, i,
+                              const(f"tag{tag}", _TAG_VALUES[tag]), t))
+                steps.append((np.add, acc, t, t))
             if acc < 0:
                 free.append(acc)
             acc = t
@@ -430,7 +461,7 @@ def _compile_plan(sched: Schedule) -> _Plan:
         elif kind == "const":
             r = const(sid, value)
         elif kind == "entry":
-            r = bind_entry(recipe)
+            r = bind_entry(name, recipe)
         else:
             raise RuntimeError(f"unbound slot {name}")
         bound[sid] = r

@@ -77,6 +77,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import operator
 import os
 from collections import deque
@@ -194,6 +195,11 @@ class SimConfig:
         # the point and trial counts are checked as keys, before any point
         # is copied
         _substreams.check_key(self.seed, points, self.trials)
+        for snr in self.snr_db:
+            # bool is an int to Python, and float() would parse a string
+            if not isinstance(snr, numbers.Real) or isinstance(snr, bool):
+                raise ValueError(f"snr_db must hold real numbers in dB, "
+                                 f"got {snr!r}")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "decoders", _decoder_names(self.decoders))
         if not self.snr_db:

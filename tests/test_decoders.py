@@ -313,6 +313,25 @@ def test_batched_routes_match_reference(cid, m, lead):
                                    err_msg=name)
 
 
+@pytest.mark.parametrize("cid,m", [("g2", 1), ("g3", 2), ("g4", 1),
+                                   ("h3", 2)])
+def test_routes_other_than_lattice_never_read_hc(cid, m):
+    # Only the lattice route may read Hc: handed an all-NaN hc, every other
+    # route still returns the finite matched filter it computes from h, so
+    # no speed-up can quietly make a route reuse the lattice's Hc.
+    code = get_code(cid)
+    rng = np.random.default_rng(47)
+    h = rng.standard_normal((5, 2 * code.n * m))
+    yv = rng.standard_normal((5, 2 * m * code.t))
+    sym = build_symbolic_lattice(code, m)
+    hc = np.full((5, sym.rows, sym.cols), np.nan)
+    assert np.isnan(MATCHED_FILTERS["lattice"](code, h, hc, yv)).all()
+    for name in MATCHED_FILTERS.keys() - {"lattice"}:
+        got = MATCHED_FILTERS[name](code, h, hc, yv)
+        assert got.shape == (5, 2 * code.k), name
+        assert np.isfinite(got).all(), name
+
+
 @pytest.mark.parametrize("cid", builtin_code_ids())
 @pytest.mark.parametrize("m", [1, 2])
 def test_build_F_stack_matches_per_channel(cid, m):

@@ -1,5 +1,7 @@
 import hashlib
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from code_transforms import signed_twins
+from ostbc_lab import schedule
 from ostbc_lab.codes import DispersionCode, builtin_code_ids, get_code
 from ostbc_lab.lattice import ChannelRealization, build_check_H, \
     build_symbolic_lattice, channel_sigma, evaluate_lattice_batch, \
@@ -344,12 +347,74 @@ def test_execute_bitwise_equals_reference(cid, m, level):
     hb = rng.standard_normal((33, sched.n_h))
     yb = rng.standard_normal((33, sched.n_y))
     hb[0, ::2] = -0.0  # signed zeros reach entries and outputs
+    hb[0, 1::4] = np.inf  # and so do infinities, and the NaNs they make
+    hb[0, 3::4] = -np.inf
     yb[0] = -0.0
     for h, y in ((hb, yb), (hb[1], yb[1]), (hb[2], yb)):
-        got = execute_schedule(sched, h, y)
-        want = reference_execute(sched, h, y)
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
+            got = execute_schedule(sched, h, y)
+            want = reference_execute(sched, h, y)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cid", builtin_code_ids())
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("level", LEVELS)
+def test_plan_steps(cid, m, level):
+    # one step per op, and an entry binds as 0.0 plus each term: one ADD or
+    # SUB per +-1 term, a MUL by the tag and an ADD per +-1/sqrt(2) term
+    sched = generate_schedule(get_code(cid), m, level)
+    terms = [abs(tag) for slot in sched.slots if slot.kind == "entry"
+             for _, tag in slot.recipe]
+    assert len(sched._plan.steps) == \
+        len(sched.ops) + terms.count(1) + 2 * terms.count(2)
+    assert len(terms) == terms.count(1) + terms.count(2)
+    assert all(type(c) is np.float64 for c in sched._plan.consts)
+
+
+@pytest.mark.parametrize("cid", builtin_code_ids())
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("level", LEVELS)
+def test_generate_schedule_is_repeatable(cid, m, level):
+    # temp slots are shared between schedules: a second compile must still
+    # give an equal program, named alike
+    code = get_code(cid)
+    first, second = (generate_schedule(code, m, level) for _ in range(2))
+    assert first == second
+    assert all(a is b for a, b in zip(first.slots, second.slots)
+               if a.kind == "temp")
+    assert dump_schedule(first) == dump_schedule(second)
+
+
+def test_shared_temps_grow_consistently_across_threads(monkeypatch):
+    # every builder appends the module's temp slots; threads that grow the
+    # list at once must not misnumber it
+    code = get_code("g4")
+    want = generate_schedule(code, 2, 0)
+    names = [f"t{k + 1}" for k in range(len(want.ops))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(schedule, "_TEMPS", [])
+            start, got = threading.Barrier(6), []
+
+            def compile_one():
+                start.wait(timeout=60)
+                got.append(generate_schedule(code, 2, 0))
+
+            threads = [threading.Thread(target=compile_one)
+                       for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * len(threads)
+            assert [s.name for s in schedule._TEMPS] == names
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_output_read_by_a_later_op_keeps_its_register():
@@ -381,6 +446,14 @@ def test_execute_hand_built_failures():
                         outputs=(1,), sigma_slot=0, sigma_inv_slot=0)
     with pytest.raises(RuntimeError, match="slot h1 reads h index -1 of 1"):
         execute_schedule(no_index, [1.0], [1.0])
+    # an entry term outside h would otherwise read ycheck: 3.0 * 3.0
+    wide_entry = Schedule(code_id="x", m=1, level=0, n_h=1, n_y=1,
+                          slots=(Slot("e1_1", "entry", recipe=((1, 1),)),
+                                 Slot("y1", "y", index=0), t1),
+                          ops=(Op("MUL", 2, (0, 1)),), outputs=(2,),
+                          sigma_slot=0, sigma_inv_slot=0)
+    with pytest.raises(RuntimeError, match="slot e1_1 reads h index 1 of 1"):
+        execute_schedule(wide_entry, [2.0], [3.0])
     for kind, args in (("SQRT", (0,)), ("ADD", (0,)), ("NEG", (0, 0))):
         bad = Schedule(code_id="x", m=1, level=0, n_h=1, n_y=1,
                        slots=(h1, t1), ops=(Op(kind, 1, args),),

@@ -203,16 +203,37 @@ def test_config_rejects(kw):
     ({"snr_db": 6.0}, "^snr_db must be a sequence of SNRs in dB, got 6.0$"),
     ({"snr_db": np.float64(6.0)}, "^snr_db must be a sequence"),
     ({"snr_db": np.array(6.0)}, "^snr_db must be a sequence"),
+    # each element must be a real number: float() read "12" as 12 dB and
+    # True as 1 dB, and failed on the rest without naming snr_db
+    ({"snr_db": ("12",)}, "^snr_db must hold real numbers in dB, got '12'$"),
+    ({"snr_db": (True,)}, "^snr_db must hold real numbers in dB, got True$"),
+    ({"snr_db": (0.0, np.True_)}, "^snr_db must hold real numbers in dB, "
+                                  "got np.True_$"),
+    ({"snr_db": ("x",)}, "^snr_db must hold real numbers in dB, got 'x'$"),
+    ({"snr_db": (None,)}, "^snr_db must hold real numbers in dB, got None$"),
+    ({"snr_db": (1 + 0j,)}, r"^snr_db must hold real numbers in dB, "
+                            r"got \(1\+0j\)$"),
     # the trial count is checked before it is checked as a substream key
     ({"trials": -5}, "^trials must be >= 1$"),
     ({"trials": 0, "seed": -1}, "^trials must be >= 1$"),
 ], ids=["str-snr", "bytes-snr", "float-snr", "numpy-float-snr",
-        "0d-array-snr", "negative-trials", "zero-trials-bad-seed"])
+        "0d-array-snr", "str-element", "bool-element", "numpy-bool-element",
+        "word-element", "none-element", "complex-element", "negative-trials",
+        "zero-trials-bad-seed"])
 def test_config_rejection_names_the_field(kw, match):
     base = dict(code="g2", constellation="4qam", snr_db=(0.0,),
                 trials=10, seed=0)
     with pytest.raises(ValueError, match=match):
         SimConfig(**{**base, **kw})
+
+
+def test_config_accepts_real_snr_elements():
+    # NumPy's integer and float scalars are real numbers; all become floats
+    cfg = SimConfig(code="g2", constellation="4qam",
+                    snr_db=(3, np.int64(6), np.float32(0.5), np.float64(9.0)),
+                    trials=10, seed=0)
+    assert cfg.snr_db == (3.0, 6.0, 0.5, 9.0)
+    assert all(type(s) is float for s in cfg.snr_db)
 
 
 def test_resolve_workers(monkeypatch):
