@@ -258,7 +258,8 @@ def decode_Fprime(code: DispersionCode, channel, zprime,
     real vector z' = (Re z; Im z) of length 2MT."""
     ch = _as_channel(code, channel)
     zprime = _real_vector("zprime", zprime, (2 * ch.m * code.t,),
-                          "(Re z; Im z), as complex_stack builds it")
+                          "(Re z; Im z), the real parts of z over its "
+                          "imaginary parts")
     half = zprime.size // 2
     return _decode_route("fprime", code, ch,
                          interleave(zprime[:half], zprime[half:]),

@@ -30,10 +30,12 @@ raises the same error when counted.
 Representation: ``Op`` and ``Slot`` are ``typing.NamedTuple``s, immutable
 and hashable; derive a changed copy with ``op._replace(...)``, since
 ``dataclasses.replace`` does not accept them.  The builder makes one ``Op``
-per emitted op, built straight from ``tuple.__new__``.  Temp slots are
-shared value objects: temp t<k> is the same ``Slot`` in every schedule, so
-the builder appends the module's k-th temp instead of making one per op.
-``Schedule`` is a frozen dataclass holding tuples of them.
+per emitted op and one ``Slot`` per input, constant and entry, each built
+straight from ``tuple.__new__``; one method appends a single op and one a
+whole ADD chain.  Temp slots are shared value objects: temp t<k> is the same
+``Slot`` in every schedule, so the builder appends the module's k-th temp
+instead of making one per op.  ``Schedule`` is a frozen dataclass holding
+tuples of them.
 
 Execution: on its first ``execute_schedule`` a schedule is compiled once
 into a register plan by a linear scan over its ops (Poletto & Sarkar,
@@ -44,12 +46,16 @@ before its first use, not up front, as 0.0 plus each term in stored order:
 a +-1-tag term is one ADD or SUB of its h column from the running sum (IEEE
 defines a - b as a + (-b), signed zeros included), and a +-1/sqrt(2)-tag
 term a MUL by the tag, then an ADD.  Plan constants are NumPy float64
-scalars.  Each call then allocates one (``Schedule.registers``, *batch)
-float64 block and runs every step as one NumPy ufunc writing into its
-register, reading h and ycheck as contiguous (n, *batch) columns.  Peak
-memory is about registers x B x 8 bytes plus the inputs, their column
-copies and the output.  The outputs are bit for bit those of evaluating the
-ops one by one in program order.
+scalars, handed to the ufuncs as 0-d arrays.  Each call copies h and ycheck into C-contiguous (n, *batch)
+column arrays, allocates one (``Schedule.registers``, *batch) float64
+register block and runs every step as one NumPy ufunc writing into its
+register.  It then copies the 2K outputs into the rows of one C-contiguous
+(2K, *batch) float64 block and returns that block's (*batch, 2K) view: the
+last axis is the strided one, B x 8 bytes apart for a (B,) batch, so
+``np.ascontiguousarray`` of the result makes a row-major copy.  Peak memory
+is about registers x B x 8 bytes plus the inputs, their column copies and
+the output block.  The outputs are bit for bit those of evaluating the ops
+one by one in program order.
 """
 
 from __future__ import annotations
@@ -151,9 +157,11 @@ def _coerce_level(level) -> int:
     return int(level)
 
 
-# Op without the NamedTuple's Python-level __new__: Op is built once per
-# emitted op, and this makes the same tuple in about 60% of the time.
+# Op and Slot without the NamedTuple's Python-level __new__: the builder
+# makes one Op per emitted op and one Slot per input, constant and entry, and
+# this makes the same tuple in about 60% of the time.
 _new_op = partial(tuple.__new__, Op)
+_new_slot = partial(tuple.__new__, Slot)
 
 # _TEMPS[k] is temp slot t<k+1>.  A temp slot holds no value of its own, so
 # every schedule shares these objects; the list grows under the lock so that
@@ -173,169 +181,161 @@ class _Builder:
     """Accumulates slots and ops; interns inputs and constants.
 
     Every op writes the next temp slot, so temp t<k> is the k-th op's dst.
+    ``emit`` appends one op and ``chain`` a whole ADD chain; nothing else
+    appends ops.
     """
 
     def __init__(self) -> None:
         self.slots: list[Slot] = []
         self.ops: list[Op] = []
-        self._interned: dict[tuple, int] = {}
-
-    def _intern(self, key: tuple, *fields) -> int:
-        """Add Slot(*fields) under key; callers have looked key up."""
-        sid = self._interned[key] = len(self.slots)
-        self.slots.append(Slot(*fields))
-        return sid
+        self._h: dict[int, int] = {}
+        self._y: dict[int, int] = {}
+        self._consts: dict[str, int] = {}
 
     def h(self, i: int) -> int:
-        sid = self._interned.get(("h", i))
+        sid = self._h.get(i)
         if sid is None:
-            sid = self._intern(("h", i), f"h{i + 1}", "h", i)
+            sid = self._h[i] = len(self.slots)
+            self.slots.append(_new_slot((f"h{i + 1}", "h", i, None, 0.0)))
         return sid
 
     def y(self, i: int) -> int:
-        sid = self._interned.get(("y", i))
+        sid = self._y.get(i)
         if sid is None:
-            sid = self._intern(("y", i), f"y{i + 1}", "y", i)
+            sid = self._y[i] = len(self.slots)
+            self.slots.append(_new_slot((f"y{i + 1}", "y", i, None, 0.0)))
         return sid
 
     def entry(self, p: int, j: int, form: LinForm) -> int:
-        sid = self._interned.get(("e", p, j))
-        if sid is None:
-            sid = self._intern(("e", p, j), f"e{p + 1}_{j + 1}", "entry", -1,
-                               form)
-        return sid
+        """A new entry slot: each (p, j) is asked for once."""
+        self.slots.append(_new_slot((f"e{p + 1}_{j + 1}", "entry", -1, form,
+                                     0.0)))
+        return len(self.slots) - 1
 
     def const(self, name: str, value: float) -> int:
-        sid = self._interned.get(("const", name))
+        sid = self._consts.get(name)
         if sid is None:
-            sid = self._intern(("const", name), name, "const", -1, None, value)
+            sid = self._consts[name] = len(self.slots)
+            self.slots.append(_new_slot((name, "const", -1, None, value)))
         return sid
 
     def rsqrt2(self) -> int:
         return self.const("rsqrt2", RSQRT2)
 
-    def emit(self, kind: str, args: tuple[int, ...]) -> int:
+    def emit(self, kind: str, a: int, b: int | None = None) -> int:
+        """Append one op on a (and b); MUL's operands are stored in
+        ascending order, since it commutes."""
         slots, ops = self.slots, self.ops
         dst, k = len(slots), len(ops)
         slots.append(_TEMPS[k] if k < len(_TEMPS) else _temp(k))
-        ops.append(_new_op((kind, dst, args)))
+        ops.append(_new_op((kind, dst, (a,) if b is None else
+                            (a, b) if a <= b else (b, a))))
         return dst
 
-    # ADD and MUL commute; their operands are stored in ascending order.
-    def add(self, a: int, b: int) -> int:
-        return self.emit("ADD", (a, b) if a <= b else (b, a))
-
-    def mul(self, a: int, b: int) -> int:
-        return self.emit("MUL", (a, b) if a <= b else (b, a))
-
-    def neg(self, a: int) -> int:
-        return self.emit("NEG", (a,))
-
-    def div4(self, a: int) -> int:
-        return self.emit("DIV4", (a,))
-
-    def sum_chain(self, slots: list[int]) -> int:
-        if not slots:
-            return self.const("zero", 0.0)
-        acc = slots[0]
-        for s in slots[1:]:
-            acc = self.add(acc, s)
+    def chain(self, terms: list[int]) -> int:
+        """Sum of terms by ADDs from left to right, each storing its
+        operands in ascending order; the constant 0.0 if there are none."""
+        n = len(terms) - 1
+        if n < 1:
+            return terms[0] if terms else self.const("zero", 0.0)
+        slots, ops = self.slots, self.ops
+        acc = terms[0]
+        dst, k = len(slots), len(ops)
+        if k + n > len(_TEMPS):
+            _temp(k + n - 1)
+        slots += _TEMPS[k:k + n]
+        for s in terms[1:]:
+            ops.append(_new_op(("ADD", dst, (acc, s) if acc <= s else
+                                (s, acc))))
+            acc = dst
+            dst += 1
         return acc
 
-    def signed_sum(self, pairs: list[tuple[int, int]]) -> int:
-        """Sum of +-operands with exactly len(pairs)-1 ADDs; NEG is free."""
-        pos = [s for sign, s in pairs if sign > 0]
-        neg = [s for sign, s in pairs if sign < 0]
-        if not neg:
-            return self.sum_chain(pos)
-        nacc = self.neg(self.sum_chain(neg))
-        if not pos:
-            return nacc
-        return self.add(self.sum_chain(pos), nacc)
+    def signed_sum(self, pos: list[int], neg: list[int]) -> int:
+        """sum(pos) - sum(neg) with exactly len(pos)+len(neg)-1 ADDs: the
+        negated sum of neg, if any, is pos's last term.  NEG is free."""
+        if neg:
+            nacc = self.emit("NEG", self.chain(neg))
+            if not pos:
+                return nacc
+            pos.append(nacc)
+        return self.chain(pos)
 
 
-def _decompose(form: LinForm) -> tuple[bool, tuple[tuple[int, int], ...]]:
-    """Split an entry into (root, core).
+def _decompose(form: LinForm) -> tuple[bool, tuple[tuple[int, int], ...], int]:
+    """Split a nonzero entry into (root, core, sign), form = sign x core.
 
     root is True when every term carries the 1/sqrt(2) magnitude; the core
     then holds bare signs.  Otherwise the core keeps the raw tags and any
-    root-tagged term is scaled inline.
+    root-tagged term is scaled inline.  The sign makes the core's first
+    coefficient positive.
     """
-    if form and all(abs(tag) == 2 for _, tag in form):
-        return True, tuple((i, 1 if tag > 0 else -1) for i, tag in form)
-    return False, form
-
-
-def _canonical(core):
-    """Flip signs so the first coefficient is positive; return (core, sign)."""
-    if core and core[0][1] < 0:
-        return tuple((i, -c) for i, c in core), -1
-    return core, 1
+    sign = 1 if form[0][1] > 0 else -1
+    if all(abs(tag) == 2 for _, tag in form):
+        return True, tuple((i, 1 if tag * sign > 0 else -1)
+                           for i, tag in form), sign
+    if sign < 0:
+        form = tuple((i, -tag) for i, tag in form)
+    return False, form, sign
 
 
 def _emit_core(b: _Builder, core, scale_after: bool) -> int:
-    pairs = []
+    pos, neg = [], []
     for i, coef in core:
         s = b.h(i)
         if abs(coef) == 2:
-            s = b.mul(b.rsqrt2(), s)
-        pairs.append((1 if coef > 0 else -1, s))
-    slot = b.signed_sum(pairs)
+            s = b.emit("MUL", b.rsqrt2(), s)
+        (pos if coef > 0 else neg).append(s)
+    slot = b.signed_sum(pos, neg)
     if scale_after:
-        slot = b.mul(b.rsqrt2(), slot)
+        slot = b.emit("MUL", b.rsqrt2(), slot)
     return slot
 
 
-def _columns_dense(b: _Builder, sym: SymbolicLattice) -> list[int]:
-    ybar = []
+def _level0(b: _Builder, sym: SymbolicLattice) -> tuple[list[int], int]:
+    """Dense columns, then sigma from the first column's entries."""
+    ybar, first = [], []
     for j in range(sym.cols):
-        prods = [b.mul(b.entry(p, j, sym.entries[p][j]), b.y(p))
-                 for p in range(sym.rows)]
-        ybar.append(b.sum_chain(prods))
-    return ybar
+        prods = []
+        for p in range(sym.rows):
+            e = b.entry(p, j, sym.entries[p][j])
+            if j == 0:
+                first.append(e)
+            prods.append(b.emit("MUL", e, b.y(p)))
+        ybar.append(b.chain(prods))
+    return ybar, b.chain([b.emit("MUL", e, e) for e in first])
 
 
 def _columns_sparse(b: _Builder, sym: SymbolicLattice, group: bool) -> list[int]:
     ybar = []
     for j in range(sym.cols):
-        items = []
-        for p in range(sym.rows):
-            form = sym.entries[p][j]
-            if form:
-                root, core = _decompose(form)
-                items.append((p, root, core))
-        column_r = bool(items) and all(root for _, root, _ in items)
+        items = [(p, *_decompose(row[j]))
+                 for p, row in enumerate(sym.entries) if row[j]]
+        column_r = bool(items) and all(root for _, root, _, _ in items)
         # ungrouped (L1) is grouping with one row per group
         occ: dict[tuple, list[tuple[int, int]]] = {}
-        for p, root, core in items:
-            core, sign = _canonical(core)
+        for p, root, core, sign in items:
             key = (root and not column_r, core, None if group else p)
             occ.setdefault(key, []).append((p, sign))
         prods = []
         for (scaled, core, _), uses in occ.items():
             core_slot = _emit_core(b, core, scaled)
-            osum = b.signed_sum([(sign, b.y(p)) for p, sign in uses])
-            prods.append(b.mul(core_slot, osum))
-        acc = b.sum_chain(prods)
+            pos, neg = [], []
+            for p, sign in uses:
+                (pos if sign > 0 else neg).append(b.y(p))
+            prods.append(b.emit("MUL", core_slot, b.signed_sum(pos, neg)))
+        acc = b.chain(prods)
         if column_r:
-            acc = b.mul(b.rsqrt2(), acc)
+            acc = b.emit("MUL", b.rsqrt2(), acc)
         ybar.append(acc)
     return ybar
 
 
-def _sigma_column(b: _Builder, sym: SymbolicLattice) -> int:
-    squares = []
-    for p in range(sym.rows):
-        e = b.entry(p, 0, sym.entries[p][0])
-        squares.append(b.mul(e, e))
-    return b.sum_chain(squares)
-
-
 def _sigma_channel(b: _Builder, code: DispersionCode, m: int) -> int:
-    squares = [b.mul(b.h(i), b.h(i)) for i in range(2 * code.n * m)]
-    acc = b.sum_chain(squares)
+    acc = b.chain([b.emit("MUL", b.h(i), b.h(i))
+                   for i in range(2 * code.n * m)])
     if code.c > 1:
-        acc = b.mul(b.const(f"c{code.c}", float(code.c)), acc)
+        acc = b.emit("MUL", b.const(f"c{code.c}", float(code.c)), acc)
     return acc
 
 
@@ -346,13 +346,12 @@ def generate_schedule(code: DispersionCode, m: int, level=2) -> Schedule:
     m = sym.m
     b = _Builder()
     if level == 0:
-        ybar = _columns_dense(b, sym)
-        sigma = _sigma_column(b, sym)
+        ybar, sigma = _level0(b, sym)
     else:
         ybar = _columns_sparse(b, sym, group=(level == 2))
         sigma = _sigma_channel(b, code, m)
-    sigma_inv = b.div4(sigma)
-    outputs = tuple(b.mul(y, sigma_inv) for y in ybar)
+    sigma_inv = b.emit("DIV4", sigma)
+    outputs = tuple(b.emit("MUL", y, sigma_inv) for y in ybar)
     return Schedule(code_id=code.id, m=m, level=level,
                     n_h=2 * code.n * m, n_y=2 * m * code.t,
                     slots=tuple(b.slots), ops=tuple(b.ops),
@@ -396,15 +395,22 @@ class _Plan(NamedTuple):
     outputs: tuple[int, ...]
 
 
+# The planner's own constants by key; a const slot's key is its slot id.
+_PLAN_CONSTS = {"zero": 0.0, "one": 1.0,
+                **{f"tag{tag}": v for tag, v in _TAG_VALUES.items()}}
+
+
 def _compile_plan(sched: Schedule) -> _Plan:
     """Linear-scan register allocation over the single-assignment ops.
 
     A slot's register is freed after the last op that reads it, outputs
     excepted, and a temp may take a register its own operands free.  An
     entry slot is bound just before the first op that reads it, as
-    ``linform_value`` sums it: 0.0 plus each term in stored order.
+    ``linform_value`` sums it: 0.0 plus each term in stored order.  One
+    loop binds, frees and allocates inline; after the last op it reads each
+    output once more, so that an output no op writes is bound too.
     """
-    ops, slots = sched.ops, sched.slots
+    ops, slots, n_h = sched.ops, sched.slots, sched.n_h
     end = len(ops)
     last = [end] * len(slots)  # index of the op that reads a slot last
     for k, op in enumerate(ops):
@@ -412,91 +418,92 @@ def _compile_plan(sched: Schedule) -> _Plan:
             last[a] = k
     for o in sched.outputs:
         last[o] = end  # past every op, so never freed
-    inputs = {"h": (0, sched.n_h), "y": (sched.n_h, sched.n_y)}
-    consts: dict = {}
+    inputs = {"h": (0, n_h), "y": (n_h, sched.n_y)}
+    base = n_h + sched.n_y  # operand of the first constant
+    consts: dict = {}  # key -> operand, in first-use order
     bound: list[int | None] = [None] * len(slots)  # operand of each slot
     free: list[int] = []
     steps: list[tuple] = []
     registers = 0
-
-    def const(key, value: float) -> int:
-        """Operand of a constant; key is a const slot id or a str."""
-        if key not in consts:
-            consts[key] = (len(consts), np.float64(value))
-        return sched.n_h + sched.n_y + consts[key][0]
-
-    def alloc() -> int:
-        nonlocal registers
-        if free:
-            return free.pop()
-        registers += 1
-        return -registers
-
-    def bind_entry(name: str, form: LinForm) -> int:
-        acc = const("zero", 0.0)
-        for i, tag in form:
-            if not 0 <= i < sched.n_h:
-                raise RuntimeError(f"slot {name} reads h index {i} of "
-                                   f"{sched.n_h}")
-            t = alloc()
-            if abs(tag) == 1:  # acc - h is acc + (-1.0 * h) exactly
-                steps.append((np.add if tag == 1 else np.subtract, acc, i, t))
-            else:
-                steps.append((np.multiply, i,
-                              const(f"tag{tag}", _TAG_VALUES[tag]), t))
-                steps.append((np.add, acc, t, t))
-            if acc < 0:
-                free.append(acc)
-            acc = t
-        return acc
-
-    def bind(sid: int) -> int:
-        name, kind, index, recipe, value = slots[sid]
-        if kind in inputs:
-            first, n = inputs[kind]
-            if not 0 <= index < n:
-                raise RuntimeError(f"slot {name} reads {kind} index {index} "
-                                   f"of {n}")
-            r = first + index
-        elif kind == "const":
-            r = const(sid, value)
-        elif kind == "entry":
-            r = bind_entry(name, recipe)
-        else:
-            raise RuntimeError(f"unbound slot {name}")
-        bound[sid] = r
-        return r
-
-    for k, (kind, dst, args) in enumerate(ops):
+    for k, (kind, dst, args) in enumerate(
+            (*ops, *[(None, -1, (o,)) for o in sched.outputs])):
         spec = _KINDS.get(kind)
-        if spec is None or spec[1] != len(args):
+        if (spec is None or spec[1] != len(args)) and k < end:
             raise _unknown_op(kind, args)
         a = args[0]
+        b = args[-1]
         x = bound[a]
-        if x is None:
-            x = bind(a)
-        y = None
-        if len(args) == 2:
-            b = args[1]
+        y = bound[b]
+        while x is None or y is None:
+            s = a if x is None else b
+            name, skind, index, recipe, value = slots[s]
+            if skind == "entry":
+                r = consts.setdefault("zero", base + len(consts))
+                for i, tag in recipe:
+                    if not 0 <= i < n_h:
+                        raise RuntimeError(f"slot {name} reads h index {i} "
+                                           f"of {n_h}")
+                    if free:
+                        t = free.pop()
+                    else:
+                        registers += 1
+                        t = -registers
+                    if abs(tag) == 1:  # r - h is r + (-1.0 * h) exactly
+                        steps.append((np.add if tag == 1 else np.subtract,
+                                      r, i, t))
+                    else:
+                        steps.append((np.multiply, i, consts.setdefault(
+                            f"tag{tag}", base + len(consts)), t))
+                        steps.append((np.add, r, t, t))
+                    if r < 0:
+                        free.append(r)
+                    r = t
+            elif skind in inputs:
+                first, n = inputs[skind]
+                if not 0 <= index < n:
+                    raise RuntimeError(f"slot {name} reads {skind} index "
+                                       f"{index} of {n}")
+                r = first + index
+            elif skind == "const":
+                r = consts.setdefault(s, base + len(consts))
+            else:
+                raise RuntimeError(f"unbound slot {name}")
+            bound[s] = r
+            x = bound[a]
             y = bound[b]
-            if y is None:
-                y = bind(b)
+        if k >= end:
+            continue
+        if len(args) == 2:
             if last[b] == k:
                 last[b] = end  # so that a repeated operand is freed once
                 if y < 0:
                     free.append(y)
+        else:
+            y = None
         if last[a] == k:
             last[a] = end
             if x < 0:
                 free.append(x)
-        if kind == "DIV4":
-            x, y = const("one", 1.0), x
-        bound[dst] = out = alloc()
+        if kind == "DIV4":  # 1.0 / a
+            x, y = consts.setdefault("one", base + len(consts)), x
+        if free:
+            out = free.pop()
+        else:
+            registers += 1
+            out = -registers
+        bound[dst] = out
         steps.append((spec[0], x, y, out))
-    outputs = tuple(bind(o) if bound[o] is None else bound[o]
-                    for o in sched.outputs)
-    return _Plan(registers, tuple(value for _, value in consts.values()),
-                 tuple(steps), outputs)
+    values = tuple(np.float64(_PLAN_CONSTS[key] if type(key) is str
+                              else slots[key].value) for key in consts)
+    return _Plan(registers, values, tuple(steps),
+                 tuple(bound[o] for o in sched.outputs))
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """x's last axis moved first, as a C-contiguous (n, *batch) copy."""
+    cols = np.empty(x.shape[-1:] + x.shape[:-1])
+    np.copyto(cols, x.transpose(-1, *range(x.ndim - 1)))
+    return cols
 
 
 def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
@@ -505,6 +512,8 @@ def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
     Both accept leading batch dimensions that broadcast against each
     other, e.g. (2MN,) or (B, 2MN) h with (2MT,) or (B, 2MT) ycheck.  Both
     must be real; ``lattice.vectorize_received`` interleaves complex values.
+    The result is the (*batch, 2K) view of a C-contiguous (2K, *batch)
+    block.
     """
     _require_real("h", h)
     _require_real("ycheck", ycheck)
@@ -515,19 +524,20 @@ def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
     if yv.shape[-1] != sched.n_y:
         raise ValueError(f"ycheck has {yv.shape[-1]} values, need {sched.n_y}")
     plan = sched._plan
-    regs = np.empty((plan.registers,
-                     *np.broadcast_shapes(h.shape[:-1], yv.shape[:-1])))
-    table = [*np.ascontiguousarray(np.moveaxis(h, -1, 0)),
-             *np.ascontiguousarray(np.moveaxis(yv, -1, 0)),
-             *plan.consts,
-             *(regs[r, ...] for r in reversed(range(plan.registers)))]
+    batch = np.broadcast_shapes(h.shape[:-1], yv.shape[:-1])
+    regs = np.empty((plan.registers, *batch))
+    # a 0-d array operand costs a ufunc less than a scalar one
+    table = [*_columns(h), *_columns(yv), *map(np.asarray, plan.consts),
+             *[regs[r, ...] for r in range(plan.registers - 1, -1, -1)]]
     for f, a, b, out in plan.steps:
         if b is None:
             f(table[a], table[out])
         else:
             f(table[a], table[b], table[out])
-    return np.stack(np.broadcast_arrays(*(table[o] for o in plan.outputs)),
-                    axis=-1)
+    block = np.empty((len(plan.outputs), *batch))
+    for j, o in enumerate(plan.outputs):
+        block[j] = table[o]
+    return block.transpose(*range(1, block.ndim), 0)
 
 
 def _render_form(form: LinForm) -> str:

@@ -59,11 +59,12 @@ and makes one of the new size, since a larger pool would run on more CPUs
 than were asked for; one-worker sweeps leave it idle.  A sweep that ends by
 an exception (a worker killed, an interrupt) drops the pool and its queued
 tasks, so the next sweep starts on fresh workers; the workers left at exit
-are joined by ``concurrent.futures``.  The workers hold this module's state
-as it was when the pool was made.  That is safe: a task reads only its
-pickled ``SimConfig`` and the immutable built-in codes and constellations,
-and no result depends on ``_DRAW_WORDS``, ``_DECODE_FLOATS``, ``_CHUNK``
-or ``_TASK``.
+are joined by ``concurrent.futures``.  Its process pool, and with it
+``multiprocessing``, is imported by the first sweep that needs a pool.  The
+workers hold this module's state as it was when the pool was made.  That is
+safe: a task reads only its pickled ``SimConfig`` and the immutable built-in
+codes and constellations, and no result depends on ``_DRAW_WORDS``,
+``_DECODE_FLOATS``, ``_CHUNK`` or ``_TASK``.
 
 Error counting uses the first selected decoder; any further selected
 decoders are run in the same batch and compared, with disagreements counted
@@ -81,8 +82,8 @@ import numbers
 import operator
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -103,6 +104,9 @@ from .lattice import (
     evaluate_lattice_batch,
     interleave,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "SimConfig",
@@ -457,6 +461,9 @@ def _tasks(config: SimConfig):
 def _pool(workers: int) -> ProcessPoolExecutor:
     """The process pool of `workers` workers, kept from sweep to sweep; a
     pool of another size is shut down and replaced."""
+    # imported here: one-worker sweeps never load the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     pool, size = _POOL
     if size != workers:
         if pool is not None:

@@ -233,8 +233,9 @@ def test_decode_trace_rejects_wrong_block_shape(shape):
 def test_decode_Fprime_rejects_complex_and_wrong_length():
     code, const = get_code("g2"), get_constellation("4qam")
     h = np.ones((2, 1), dtype=complex)
-    with pytest.raises(ValueError, match=r"^zprime is complex; "
-                                         r"pass \(Re z; Im z\)"):
+    with pytest.raises(ValueError, match=r"^zprime is complex; pass "
+                                         r"\(Re z; Im z\), the real parts "
+                                         r"of z over its imaginary parts$"):
         decode_Fprime(code, h, np.ones(4) + 1j, const)
     with pytest.raises(ValueError, match=r"^zprime has shape \(6,\), "
                                          r"expected \(4,\)"):

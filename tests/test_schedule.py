@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,12 +351,29 @@ def test_execute_bitwise_equals_reference(cid, m, level):
     hb[0, 1::4] = np.inf  # and so do infinities, and the NaNs they make
     hb[0, 3::4] = -np.inf
     yb[0] = -0.0
-    for h, y in ((hb, yb), (hb[1], yb[1]), (hb[2], yb)):
+    # one vector against a batch either way, strided and Fortran-ordered
+    # inputs, and a two-axis batch, also against a one-axis one
+    for h, y in ((hb, yb), (hb[1], yb[1]), (hb[2], yb), (hb, yb[1]),
+                 (hb[::2], yb[::2]),
+                 (np.asfortranarray(hb), np.asfortranarray(yb)),
+                 (hb.reshape(3, 11, -1), yb.reshape(3, 11, -1)),
+                 (hb.reshape(3, 11, -1), yb[:11])):
         with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
             got = execute_schedule(sched, h, y)
             want = reference_execute(sched, h, y)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_execute_returns_a_view_of_the_output_block():
+    # each output is a contiguous row of one (2K, *batch) block
+    sched = generate_schedule(get_code("g4"), 2, 2)
+    rng = np.random.default_rng(4)
+    h = rng.standard_normal((3, 5, sched.n_h))
+    z = execute_schedule(sched, h, rng.standard_normal(sched.n_y))
+    assert z.shape == (3, 5, 8)
+    assert z.strides == (40, 8, 120)
+    assert z.base.shape == (8, 3, 5) and z.base.flags.c_contiguous
 
 
 @pytest.mark.parametrize("cid", builtin_code_ids())
@@ -461,6 +479,19 @@ def test_execute_hand_built_failures():
         with pytest.raises(RuntimeError,
                            match=f"unknown op '{kind}' of {len(args)} "):
             execute_schedule(bad, [1.0], [1.0])
+
+
+def test_readme_library_example():
+    # README's python block runs as printed: its count is the one it shows,
+    # and the schedule's z is the lattice decode's
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"```python\n(.*?)```", text, re.S)
+                if "execute_schedule(" in b]
+    ns: dict = {}
+    exec(block, ns)
+    assert ns["sched"].count == OpCount(rm=54, ra=47)
+    assert ns["z"].shape == ns["soft"].z.shape == (6,)
+    np.testing.assert_allclose(ns["z"], ns["soft"].z, rtol=1e-12, atol=0)
 
 
 # Rows of the register block per built-in code at m = 1 and 2, L0..L2.

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -626,6 +627,21 @@ def test_pool_workers_exit_with_the_interpreter():
     assert_exited(pids)
 
 
+def test_one_worker_sweep_loads_no_pool_machinery():
+    # _pool imports the process pool when a sweep first needs one
+    proc = run_python(
+        "import os, sys\n"
+        "os.environ['OSTBC_LAB_THREADS'] = '1'\n"
+        "import ostbc_lab\n"
+        "ostbc_lab.run_ber(ostbc_lab.SimConfig(code='g3', m=2, "
+        "constellation='4qam', snr_db=(2.0, 8.0), trials=300, seed=9))\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules])\n",
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: runs each task when it is
     submitted and counts the futures submitted but not yet read."""
@@ -664,7 +680,8 @@ def test_pool_is_fed_from_a_bounded_window(monkeypatch, no_live_pool):
     serial = ber_to_json(run_ber(cfg))
     monkeypatch.setattr(sim, "_TASK", 50)
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
     monkeypatch.setattr(_InlinePool, "made", [])
     monkeypatch.setenv("OSTBC_LAB_THREADS", "2")
     assert ber_to_json(run_ber(cfg)) == serial
