@@ -61,7 +61,10 @@ class Constellation:
         return self.levels ** 2
 
     def point(self, index: int) -> complex:
-        """Complex symbol for index = re_index * levels + im_index."""
+        """Complex symbol for index = re_index * levels + im_index, an index
+        in [0, size)."""
+        if not 0 <= index < self.size:
+            raise ValueError(f"symbol index {index} outside [0, {self.size})")
         re_i, im_i = divmod(index, self.levels)
         a = self.component_alphabet
         return complex(a[re_i], a[im_i])

@@ -49,7 +49,6 @@ __all__ = [
     "Term",
     "LinForm",
     "ChannelRealization",
-    "ComplexStack",
     "SymbolicLattice",
     "RealLattice",
     "LatticeReport",
@@ -60,13 +59,10 @@ __all__ = [
     "channel_sigma",
     "vectorize_received",
     "unvectorize",
-    "complex_stack",
     "interleave",
     "deinterleave",
     "verify_lattice",
     "evaluate_lattice_batch",
-    "linform_value",
-    "write_hcheck_csv",
 ]
 
 # one additive term of a lattice entry: (flattened channel index, entry tag)
@@ -124,14 +120,6 @@ class ChannelRealization:
 
 
 @dataclass(frozen=True)
-class ComplexStack:
-    """Column stack of the received block: z = vec(Y), zprime = (Re z; Im z)."""
-
-    z: np.ndarray
-    zprime: np.ndarray
-
-
-@dataclass(frozen=True)
 class SymbolicLattice:
     """H_check with every entry an exact linear form over channel coefficients."""
 
@@ -183,15 +171,6 @@ class SymbolicLattice:
                 arr.setflags(write=False)
             table.append((pos, hidx, coef))
         return tuple(table)
-
-
-def linform_value(form: LinForm, h: np.ndarray) -> np.ndarray:
-    """Evaluate one entry at coefficient vectors h (..., 2NM), terms in
-    stored order."""
-    acc = np.zeros(h.shape[:-1])
-    for idx, tag in form:
-        acc = acc + _TAG_VALUES[tag] * h[..., idx]
-    return acc
 
 
 def _antenna_count(m) -> int:
@@ -388,12 +367,6 @@ def unvectorize(v: np.ndarray, rows: int) -> np.ndarray:
     return flat.reshape(flat.shape[:-1] + (cols, rows)).swapaxes(-1, -2)
 
 
-def complex_stack(y_block) -> ComplexStack:
-    """T x M received block -> (z = vec(Y), zprime = (Re z; Im z))."""
-    z = np.asarray(y_block, dtype=complex).ravel(order="F")
-    return ComplexStack(z=z, zprime=np.concatenate([z.real, z.imag]))
-
-
 def interleave(re, im) -> np.ndarray:
     """Re/Im parts (..., n) and (..., n) -> interleaved (..., 2n):
     (Re_1, Im_1, ..., Re_n, Im_n)."""
@@ -446,10 +419,3 @@ def verify_lattice(lat: RealLattice, tol: float = 1e-9) -> LatticeReport:
     return LatticeReport(passed=passed, degenerate=False, sigma=sigma,
                          max_offdiag_rel=max_off, max_diag_spread_rel=max_spread,
                          sigma_mismatch_rel=mismatch, tol=tol)
-
-
-def write_hcheck_csv(lat: RealLattice, path) -> None:
-    """Dump H_check row-major as CSV with full-precision floats."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in lat.hcheck:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

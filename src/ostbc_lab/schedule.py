@@ -60,6 +60,7 @@ one by one in program order.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -147,14 +148,21 @@ class Schedule:
         return _compile_plan(self)
 
 
+# The level spellings a string may take, around white space.
+_LEVEL_NAMES = {f"{p}{n}": n for n in LEVELS for p in ("", "L", "l")}
+
+
 def _coerce_level(level) -> int:
-    if isinstance(level, str):
-        text = level.strip().lower().lstrip("l")
-        if text.isdigit():
-            level = int(text)
+    """level as 0, 1 or 2: an integer type (``operator.index``, so True is 1
+    and 2.0 is rejected) or a string in ``_LEVEL_NAMES``."""
+    try:
+        level = operator.index(level)
+    except TypeError:
+        level = _LEVEL_NAMES.get(level.strip()) if isinstance(level, str) \
+            else None
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS} (or 'L0'..'L2')")
-    return int(level)
+    return level
 
 
 # Op and Slot without the NamedTuple's Python-level __new__: the builder
@@ -405,10 +413,10 @@ def _compile_plan(sched: Schedule) -> _Plan:
 
     A slot's register is freed after the last op that reads it, outputs
     excepted, and a temp may take a register its own operands free.  An
-    entry slot is bound just before the first op that reads it, as
-    ``linform_value`` sums it: 0.0 plus each term in stored order.  One
-    loop binds, frees and allocates inline; after the last op it reads each
-    output once more, so that an output no op writes is bound too.
+    entry slot is bound just before the first op that reads it, summed in
+    ``evaluate_lattice_batch``'s order: 0.0 plus each term in stored order.
+    One loop binds, frees and allocates inline; after the last op it reads
+    each output once more, so that an output no op writes is bound too.
     """
     ops, slots, n_h = sched.ops, sched.slots, sched.n_h
     end = len(ops)

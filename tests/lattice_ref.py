@@ -1,0 +1,27 @@
+"""Reference forms of the real lattice's values, shared by the tests.
+
+``linform_value`` evaluates one symbolic H_check entry term by term, the
+loop that ``evaluate_lattice_batch`` and the schedule planner must match bit
+for bit.  ``stack_received`` gives the complex decode routes their inputs.
+"""
+
+import numpy as np
+
+from ostbc_lab.codes import _TAG_VALUES
+from ostbc_lab.lattice import LinForm
+
+
+def linform_value(form: LinForm, h: np.ndarray) -> np.ndarray:
+    """Evaluate one entry at coefficient vectors h (..., 2NM), terms in
+    stored order."""
+    acc = np.zeros(h.shape[:-1])
+    for idx, tag in form:
+        acc = acc + _TAG_VALUES[tag] * h[..., idx]
+    return acc
+
+
+def stack_received(y_block):
+    """T x M received block -> (z, zprime): z = vec(Y), the columns stacked,
+    and zprime = (Re z; Im z)."""
+    z = np.asarray(y_block, dtype=complex).ravel(order="F")
+    return z, np.concatenate([z.real, z.imag])

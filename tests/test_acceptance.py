@@ -26,9 +26,7 @@ from ostbc_lab.lattice import (
     ChannelRealization,
     build_check_H,
     build_symbolic_lattice,
-    complex_stack,
     deinterleave,
-    linform_value,
     verify_lattice,
 )
 from ostbc_lab.schedule import (
@@ -41,6 +39,7 @@ from ostbc_lab.schedule import (
 )
 from ostbc_lab.sim import SimConfig, run_ber
 
+from lattice_ref import linform_value, stack_received
 from test_lattice import GOLDEN_ROWS, parse_token, sample_channel_matrix
 
 ALL_CODES = builtin_code_ids()
@@ -137,10 +136,10 @@ def test_criterion_5_decoder_equivalence():
             yv = lat.hcheck @ x + noise * rng.standard_normal(2 * code.t)
             soft, dec = decode_lattice(lat, yv, const)
             y_block = deinterleave(yv).reshape(code.t, 1, order="F")
-            st = complex_stack(y_block)
+            z, zprime = stack_received(y_block)
             others = [decode_trace(code, ch, y_block, const),
-                      decode_F(code, ch, st.z, const),
-                      decode_Fprime(code, ch, st.zprime, const)]
+                      decode_F(code, ch, z, const),
+                      decode_Fprime(code, ch, zprime, const)]
             scale = max(float(np.max(np.abs(soft.z))), 1e-30)
             for osoft, odec in others:
                 assert np.max(np.abs(osoft.z - soft.z)) <= 1e-9 * scale

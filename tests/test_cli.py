@@ -94,6 +94,13 @@ def test_schedule_dump_and_level_alias(capsys):
     assert run(capsys, "schedule-dump", "--code", "g4", "--level", "2")[1] == out
 
 
+def test_count_rejects_malformed_level(capsys):
+    rc, out, err = run(capsys, "count", "--code", "g2", "--level", "LL2")
+    assert rc == 2
+    assert out == ""
+    assert "error: level must be one of" in err
+
+
 def test_verify_builtin_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--code", "h3", "--trials", "50")
     assert rc == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lattice_ref import stack_received
 from ostbc_lab import decoders
 from ostbc_lab.codes import builtin_code_ids, get_code
 from ostbc_lab.constellation import (
@@ -31,7 +32,6 @@ from ostbc_lab.lattice import (
     build_F,
     build_check_H,
     build_symbolic_lattice,
-    complex_stack,
     deinterleave,
     evaluate_lattice_batch,
     interleave,
@@ -73,6 +73,13 @@ def test_unit_symbol_energy(name):
     c = get_constellation(name)
     energy = np.mean([abs(c.point(i)) ** 2 for i in range(c.size)])
     assert energy == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+def test_point_rejects_index_outside_constellation(index):
+    with pytest.raises(ValueError, match=rf"^symbol index {index} outside "
+                                         r"\[0, 4\)$"):
+        get_constellation("4qam").point(index)
 
 
 def test_unknown_constellation():
@@ -195,10 +202,10 @@ def test_four_routes_agree(cid, m):
         yv = lat.hcheck @ x + 0.4 * rng.standard_normal(2 * m * code.t)
         soft, dec = decode_lattice(lat, yv, const)
         y_block = deinterleave(yv).reshape(code.t, m, order="F")
-        st_ = complex_stack(y_block)
+        z, zprime = stack_received(y_block)
         others = [decode_trace(code, ch, y_block, const),
-                  decode_F(code, ch, st_.z, const),
-                  decode_Fprime(code, ch, st_.zprime, const)]
+                  decode_F(code, ch, z, const),
+                  decode_Fprime(code, ch, zprime, const)]
         scale = max(np.max(np.abs(soft.z)), 1e-30)
         for osoft, odec in others:
             assert np.max(np.abs(osoft.z - soft.z)) <= 1e-9 * scale

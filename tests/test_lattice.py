@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from code_transforms import signed_twins
+from lattice_ref import linform_value
 from ostbc_lab.codes import builtin_code_ids, encode, get_code
 from ostbc_lab.lattice import (
     ChannelRealization,
@@ -14,16 +15,13 @@ from ostbc_lab.lattice import (
     build_check_H,
     build_symbolic_lattice,
     channel_sigma,
-    complex_stack,
     deinterleave,
     evaluate_lattice_batch,
     h_index,
     interleave,
-    linform_value,
     verify_lattice,
     unvectorize,
     vectorize_received,
-    write_hcheck_csv,
 )
 from ostbc_lab.schedule import dump_schedule, generate_schedule
 
@@ -172,13 +170,6 @@ def test_layout_helpers_match_per_item_forms(lead, n, cid, m, seed):
         assert sigma[i] == build_check_H(code, ch).sigma
         assert sigma[i] == pytest.approx(
             code.c * np.sum(np.abs(ch.matrix) ** 2), rel=1e-12)
-
-
-def test_complex_stack_layout():
-    y = np.array([[1 + 2j], [3 + 4j]])
-    st = complex_stack(y)
-    np.testing.assert_array_equal(st.z, [1 + 2j, 3 + 4j])
-    np.testing.assert_array_equal(st.zprime, [1, 3, 2, 4])
 
 
 @pytest.mark.parametrize("key", GOLDEN_ROWS)
@@ -474,14 +465,3 @@ def test_batch_evaluation_bitwise_on_transformed_h3(code, m, seed):
     lat = build_check_H(code, unvectorize(rng.standard_normal(2 * code.n * m),
                                           code.n))
     assert verify_lattice(lat).passed
-
-
-def test_hcheck_csv_round_trip(tmp_path):
-    lat = build_check_H(get_code("h3"), np.array(
-        [[0.3 - 0.2j], [1.1 + 0.7j], [-0.4 + 0.9j]]))
-    path = tmp_path / "hc.csv"
-    write_hcheck_csv(lat, path)
-    parsed = np.array([[float(v) for v in line.split(",")]
-                       for line in path.read_text().splitlines()
-                       if not line.startswith("#")])
-    np.testing.assert_array_equal(parsed, lat.hcheck)

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from code_transforms import signed_twins
+from lattice_ref import linform_value
 from ostbc_lab import schedule
 from ostbc_lab.codes import DispersionCode, builtin_code_ids, get_code
 from ostbc_lab.lattice import ChannelRealization, build_check_H, \
-    build_symbolic_lattice, channel_sigma, evaluate_lattice_batch, \
-    linform_value
+    build_symbolic_lattice, channel_sigma, evaluate_lattice_batch
 from ostbc_lab.schedule import (
     LEVELS,
     Op,
@@ -206,9 +206,10 @@ def test_count_ops_rejects_what_execute_rejects(kind, args):
 def test_level_coercion():
     code = get_code("g2")
     base = dump_schedule(generate_schedule(code, 1, 1))
-    for alias in ("L1", "l1", " l1 ", 1):
+    for alias in ("L1", "l1", " l1 ", 1, True, np.int64(1)):
         assert dump_schedule(generate_schedule(code, 1, alias)) == base
-    for bad in (3, -1, "L7", "fast", None):
+    for bad in (3, -1, "L7", "fast", None, "LL2", "lll0", "02", "L\u0662",
+                2.0, np.float64(1.0)):
         with pytest.raises(ValueError):
             generate_schedule(code, 1, bad)
     with pytest.raises(ValueError):
