@@ -35,10 +35,11 @@ Python loop:
 Most rows hold no slow word among the n_h channel words and the n_noise
 noise words of their first n_h + ceil(K/2) + n_noise words: 89% of g2 rows
 at M=1, 52% of g3 rows at M=2.  Those words are then, in order, the channel
-normals, the symbol words and the noise normals, so every row is first read
-that way by column slices, and only the rows with a slow channel or noise
-word there are parsed.  A slow symbol word needs no parse: symbols are read
-from raw words.
+normals, the symbol words and the noise normals.  So the ziggurat's fast
+path runs once over every word of the block, every row is first read by
+column slices of its values, and only the rows with a slow channel or
+noise word there are parsed, from their rows of the same values.  A slow
+symbol word needs no parse: symbols are read from raw words.
 
 The parse works on the few slow words of those rows, its events, rather
 than on every word.  Each event is decoded where it stands (wedge test or
@@ -265,9 +266,10 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
     A row whose first n_h channel words and the n_noise noise words after
     its ceil(k/2) symbol words are all fast is read straight from those
     columns: channel normals, symbol words, noise normals.  A symbol word is
-    read raw, so whether it is slow does not matter.  Only the rows with a
-    slow channel or noise word are parsed from their slow words, and their
-    draws overwrite the sliced ones.
+    read raw, so whether it is slow does not matter.  One ``_ziggurat``
+    pass covers every word of the block, spare words included; only the
+    rows with a slow channel or noise word are parsed, from their rows of
+    those values and flags, and their draws overwrite the sliced ones.
     """
     if size < 1 or size & (size - 1) or size >= 2 ** 32:
         raise ValueError("size must be a power of two below 2**32")
@@ -276,20 +278,16 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
     lead = n_h + sym_words + n_noise
     words = philox_words(seed, np.uint64(point << 32) | trials,
                          words_per_trial(n_h, k, n_noise) // 4)
-    x, slow = _ziggurat(words[:, :lead])
-    h, noise = x[:, :n_h], x[:, n_h + sym_words:]
+    x, slow = _ziggurat(words)
+    h, noise = x[:, :n_h], x[:, n_h + sym_words:lead]
     sym = _symbols(words[:, n_h + np.arange(k) // 2], size)
     ok = np.ones(len(trials), dtype=bool)
     slow_rows = np.flatnonzero(slow[:, :n_h].any(axis=1)
-                               | slow[:, n_h + sym_words:].any(axis=1))
+                               | slow[:, n_h + sym_words:lead].any(axis=1))
     if slow_rows.size:
-        # keep only the parsed rows' words, which lowers the peak memory
-        words = words[slow_rows]
-        x_rest, slow_rest = _ziggurat(words[:, lead:])
         h[slow_rows], sym[slow_rows], noise[slow_rows], ok[slow_rows] = \
-            _parse(words, np.hstack((x[slow_rows], x_rest)),
-                   np.hstack((slow[slow_rows], slow_rest)), n_h, k, size,
-                   n_noise)
+            _parse(words[slow_rows], x[slow_rows], slow[slow_rows], n_h, k,
+                   size, n_noise)
     return h, sym, noise, ok & h.any(axis=1)
 
 

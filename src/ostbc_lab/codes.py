@@ -26,6 +26,7 @@ tag 0 is zero, +-1 is +-1, and +-2 encodes +-1/sqrt(2).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -71,6 +72,15 @@ class OrthogonalityError(ValueError):
 TagMatrix = tuple[tuple[int, ...], ...]
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int, for integer types only (``operator.index``, so
+    True is 1 and 2.0 or "2" is rejected)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
 @dataclass(frozen=True)
 class DispersionCode:
     """An orthogonal design described by its dispersion matrices.
@@ -101,6 +111,8 @@ class DispersionCode:
     b_tags: tuple[TagMatrix, ...]
 
     def __post_init__(self) -> None:
+        for field in ("n", "t", "k", "c"):
+            object.__setattr__(self, field, _integer(field, getattr(self, field)))
         if min(self.n, self.t, self.k, self.c) < 1:
             raise ValueError("code dimensions and scale must be positive")
         for tags in (self.a_tags, self.b_tags):

@@ -20,6 +20,8 @@ from functools import cache
 
 import numpy as np
 
+from .codes import _integer
+
 __all__ = [
     "Constellation",
     "ConstellationError",
@@ -63,6 +65,7 @@ class Constellation:
     def point(self, index: int) -> complex:
         """Complex symbol for index = re_index * levels + im_index, an index
         in [0, size)."""
+        index = _integer("symbol index", index)
         if not 0 <= index < self.size:
             raise ValueError(f"symbol index {index} outside [0, {self.size})")
         re_i, im_i = divmod(index, self.levels)

@@ -47,6 +47,7 @@ sizes its decode chunks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -272,19 +273,14 @@ def _half_grid(alphabet: tuple[float, ...],
     """Candidates of one half of x and their quadratic-form features.
 
     Returns (grid, features): grid is (dims, L**dims), every candidate in
-    lexicographic order (column j enumerates component indices with the
-    first dimension most significant, matching itertools.product over the
-    alphabet); features is (dims**2 + dims, L**dims), rows vec(w w^T) then
-    -2 w of each candidate w, so that [vec(G_ww), r_w] @ features is
-    w^T G_ww w - 2 r_w^T w for every candidate at once.
+    lexicographic order (column j is the j-th tuple of itertools.product
+    over the alphabet, the first dimension most significant); features is
+    (dims**2 + dims, L**dims), rows vec(w w^T) then -2 w of each candidate
+    w, so that [vec(G_ww), r_w] @ features is w^T G_ww w - 2 r_w^T w for
+    every candidate at once.
     """
-    n = len(alphabet)
-    total = n ** dims
-    grid = np.empty((dims, total))
-    alpha = np.asarray(alphabet)
-    for d in range(dims):
-        grid[d] = np.tile(np.repeat(alpha, n ** (dims - d - 1)), n ** d)
-    outer = (grid[:, None] * grid[None]).reshape(dims * dims, total)
+    grid = np.array(list(itertools.product(alphabet, repeat=dims))).T.copy()
+    outer = (grid[:, None] * grid[None]).reshape(dims * dims, grid.shape[1])
     features = np.concatenate([outer, -2.0 * grid])
     for arr in (grid, features):
         arr.setflags(write=False)

@@ -37,13 +37,12 @@ same slices.  Routed through ``interleave`` and ``.any(axis=-1)``,
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .codes import _TAG_VALUES, DispersionCode
+from .codes import _TAG_VALUES, DispersionCode, _integer
 
 __all__ = [
     "Term",
@@ -174,12 +173,9 @@ class SymbolicLattice:
 
 
 def _antenna_count(m) -> int:
-    """m as a receive antenna count: an integer type (``operator.index``,
-    so True is 1 and 1.0 is rejected), at least 1."""
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError("m must be an integer") from None
+    """m as a receive antenna count: an integer (``codes._integer``, so True
+    is 1 and 1.0 is rejected), at least 1."""
+    m = _integer("m", m)
     if m < 1:
         raise ValueError("m must be >= 1: the receive antenna count must be "
                          "positive")

@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codes import _TAG_VALUES, DispersionCode, RSQRT2
+from .codes import _TAG_VALUES, DispersionCode, RSQRT2, _integer
 from .lattice import LinForm, SymbolicLattice, _require_real, \
     build_symbolic_lattice
 
@@ -370,7 +370,7 @@ def generate_schedule(code: DispersionCode, m: int, level=2) -> Schedule:
 # The instruction set, read by count_ops and the planner alike: each op
 # kind's (ufunc, operand count, RM, RA).
 _KINDS = {"ADD": (np.add, 2, 0, 1), "MUL": (np.multiply, 2, 1, 0),
-          "NEG": (np.negative, 1, 0, 0), "DIV4": (np.divide, 1, 4, 0)}
+          "NEG": (np.negative, 1, 0, 0), "DIV4": (np.reciprocal, 1, 4, 0)}
 
 
 def _unknown_op(kind: str, args: tuple[int, ...]) -> RuntimeError:
@@ -393,8 +393,8 @@ class _Plan(NamedTuple):
 
     Operands index one per-call table: the n_h h columns, the n_y ycheck
     columns, ``consts``, then the rows of the register block in reverse, so
-    that register r is operand ~r.  A step is (ufunc, a, b, out); b is None
-    for NEG, and DIV4 divides the constant 1.0 by a.
+    that register r is operand ~r.  A step is (ufunc, a, b, out), b None
+    for the one-operand kinds, NEG and DIV4.
     """
 
     registers: int
@@ -404,7 +404,7 @@ class _Plan(NamedTuple):
 
 
 # The planner's own constants by key; a const slot's key is its slot id.
-_PLAN_CONSTS = {"zero": 0.0, "one": 1.0,
+_PLAN_CONSTS = {"zero": 0.0,
                 **{f"tag{tag}": v for tag, v in _TAG_VALUES.items()}}
 
 
@@ -492,8 +492,6 @@ def _compile_plan(sched: Schedule) -> _Plan:
             last[a] = end
             if x < 0:
                 free.append(x)
-        if kind == "DIV4":  # 1.0 / a
-            x, y = consts.setdefault("one", base + len(consts)), x
         if free:
             out = free.pop()
         else:
@@ -580,17 +578,23 @@ def dump_schedule(sched: Schedule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def formula_column_sigma(k: int, m: int, t: int) -> OpCount:
-    """Dense-decode closed form with sigma from a length-2MT lattice column."""
-    if min(k, m, t) < 1:
-        raise ValueError("arguments must be positive")
-    return OpCount(4 * k * m * t + 2 * m * t + 2 * k + 4,
-                   4 * k * m * t + 2 * m * t - 2 * k - 1)
-
-
-def formula_channel_sigma(k: int, m: int, t: int, n: int) -> OpCount:
-    """Dense-decode closed form with sigma from the 2MN channel coefficients."""
+def _dense_count(k, m, t, n) -> OpCount:
+    """A dense decode whose sigma sums 2Mn squares (n = T for a lattice
+    column, N for the channel): 2K inner products of length 2MT, the
+    squares, one DIV4 and 2K scalings."""
+    k, m, t, n = (_integer(name, value)
+                  for name, value in zip("kmtn", (k, m, t, n)))
     if min(k, m, t, n) < 1:
         raise ValueError("arguments must be positive")
     return OpCount(4 * k * m * t + 2 * m * n + 2 * k + 4,
                    4 * k * m * t + 2 * m * n - 2 * k - 1)
+
+
+def formula_column_sigma(k: int, m: int, t: int) -> OpCount:
+    """Dense-decode closed form with sigma from a length-2MT lattice column."""
+    return _dense_count(k, m, t, t)
+
+
+def formula_channel_sigma(k: int, m: int, t: int, n: int) -> OpCount:
+    """Dense-decode closed form with sigma from the 2MN channel coefficients."""
+    return _dense_count(k, m, t, n)

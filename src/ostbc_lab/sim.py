@@ -79,7 +79,6 @@ import io
 import json
 import math
 import numbers
-import operator
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -88,7 +87,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _substreams
-from .codes import RSQRT2, get_code
+from .codes import RSQRT2, _integer, get_code
 from .constellation import get_constellation, quantize_indices
 from .decoders import (
     MATCHED_FILTERS,
@@ -156,14 +155,6 @@ def _decoder_names(decoders) -> tuple[str, ...]:
         raise ValueError(f"decoders must not repeat a name; got "
                          f"{list(decoders)}")
     return DECODER_NAMES if "all" in decoders else tuple(decoders)
-
-
-def _integer(name: str, value) -> int:
-    """`value` as an int, for integer types only (no floats, no strings)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 ``linform_value`` evaluates one symbolic H_check entry term by term, the
 loop that ``evaluate_lattice_batch`` and the schedule planner must match bit
-for bit.  ``stack_received`` gives the complex decode routes their inputs.
+for bit, and ``entries_value`` a whole H_check from the lattice's entries
+with it, independently of the cached term table.  ``stack_received`` gives
+the complex decode routes their inputs.
 """
 
 import numpy as np
@@ -18,6 +20,16 @@ def linform_value(form: LinForm, h: np.ndarray) -> np.ndarray:
     for idx, tag in form:
         acc = acc + _TAG_VALUES[tag] * h[..., idx]
     return acc
+
+
+def entries_value(sym, h: np.ndarray) -> np.ndarray:
+    """H_check (B, 2MT, 2K) at a (B, 2NM) batch h, each entry of
+    ``sym.entries`` summed by ``linform_value`` in stored order."""
+    out = np.empty((h.shape[0], sym.rows, sym.cols))
+    for p, row in enumerate(sym.entries):
+        for j, form in enumerate(row):
+            out[:, p, j] = linform_value(form, h)
+    return out
 
 
 def stack_received(y_block):

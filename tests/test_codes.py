@@ -216,7 +216,13 @@ def test_parse_rejects_malformed_text(text, match):
     ({"a_tags": (((1,),), ((1,),))}, "expected 1 dispersion matrices, got 2"),
     ({"b_tags": (((1, 0),),)}, "dispersion matrices must be 1x1"),
     ({"a_tags": (((3,),),)}, "invalid entry tag 3"),
-], ids=["scale", "matrix-count", "matrix-shape", "tag"])
+    # a float dimension would otherwise fail later, in build_symbolic_lattice
+    ({"n": 2.0}, "^n must be an integer$"),
+    ({"t": 1.5}, "^t must be an integer$"),
+    ({"k": "1"}, "^k must be an integer$"),
+    ({"c": np.float64(1.0)}, "^c must be an integer$"),
+], ids=["scale", "matrix-count", "matrix-shape", "tag", "float-n", "float-t",
+        "str-k", "float-c"])
 def test_dispersion_code_rejects(kw, match):
     base = dict(id="x", n=1, t=1, k=1, c=1, a_tags=(((1,),),),
                 b_tags=(((1,),),))

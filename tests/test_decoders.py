@@ -82,6 +82,16 @@ def test_point_rejects_index_outside_constellation(index):
         get_constellation("4qam").point(index)
 
 
+def test_point_takes_integer_indices_only():
+    c = get_constellation("4qam")
+    for bad in (1.5, 2.0, np.float64(1.0), "1"):
+        with pytest.raises(ValueError,
+                           match="^symbol index must be an integer$"):
+            c.point(bad)
+    assert c.point(True) == c.point(1)
+    assert c.point(np.int64(3)) == c.point(3)
+
+
 def test_unknown_constellation():
     with pytest.raises(ConstellationError):
         get_constellation("8psk")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from code_transforms import signed_twins
-from lattice_ref import linform_value
-from ostbc_lab.codes import builtin_code_ids, encode, get_code
+from lattice_ref import entries_value, linform_value
+from ostbc_lab.codes import _TAG_VALUES, DispersionCode, builtin_code_ids, \
+    encode, get_code
 from ostbc_lab.lattice import (
     ChannelRealization,
     RealLattice,
@@ -415,6 +416,28 @@ def test_batch_evaluation_bitwise_equals_add_at(cid, m):
     rng = np.random.default_rng(29)
     assert_bitwise_equal_to_oracle(sym, signed_zero_batch(rng, 64, width))
     assert_bitwise_equal_to_oracle(sym, np.zeros((0, width)))
+
+
+# Not orthogonal: a design whose entries hold three and four terms, where
+# the order of a sum changes its bits.  Every built-in entry has at most two
+# terms, and 0.0 + a + b == 0.0 + b + a.
+LONG_SUMS = DispersionCode(id="long-sums", n=4, t=2, k=1, c=1,
+                           a_tags=(((1, 1, -1, 2), (1, -1, 2, 1)),),
+                           b_tags=(((1, 2, 0, 1), (0, 1, 1, -2)),))
+
+
+def test_batch_evaluation_sums_entries_in_stored_order():
+    # checked against the symbolic entries themselves, not against the term
+    # table that evaluate_lattice_batch and scatter() are both built from
+    sym = build_symbolic_lattice(LONG_SUMS, 2)
+    assert {len(form) for row in sym.entries for form in row} == {3, 4}
+    h = signed_zero_batch(np.random.default_rng(37), 256, 16)
+    got, want = evaluate_lattice_batch(sym, h), entries_value(sym, h)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    terms = [(p * sym.cols + j, i, _TAG_VALUES[tag])
+             for p, row in enumerate(sym.entries)
+             for j, form in enumerate(row) for i, tag in form]
+    assert list(zip(*(a.tolist() for a in sym.scatter()))) == terms
 
 
 @pytest.mark.parametrize("cid,m", [("g3", 2), ("h3", 1)])

@@ -79,6 +79,7 @@ def test_count_is_computed_once(cid):
     ((4, 2, 8), (300, 279)),
     ((4, 1, 8), (156, 135)),
     ((3, 1, 4), (66, 49)),
+    ((2, True, 2), (28, 15)),  # True is 1, as for m and level
 ])
 def test_formula_column_sigma(args, want):
     assert formula_column_sigma(*args) == OpCount(*want)
@@ -89,6 +90,7 @@ def test_formula_column_sigma(args, want):
     ((4, 2, 8, 3), (280, 259)),
     ((4, 1, 8, 4), (148, 127)),
     ((3, 1, 4, 3), (64, 47)),
+    ((2, 1, 2, True), (26, 13)),
 ])
 def test_formula_channel_sigma(args, want):
     assert formula_channel_sigma(*args) == OpCount(*want)
@@ -100,6 +102,19 @@ def test_formula_rejects_nonpositive(bad):
         formula_column_sigma(*bad)
     with pytest.raises(ValueError):
         formula_channel_sigma(*bad, 1)
+
+
+@pytest.mark.parametrize("at", range(4))
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2"])
+def test_formula_takes_integers_only(at, bad):
+    args = [2, 1, 2, 2]
+    args[at] = bad
+    match = f"^{'kmtn'[at]} must be an integer$"
+    with pytest.raises(ValueError, match=match):
+        formula_channel_sigma(*args)
+    if at < 3:
+        with pytest.raises(ValueError, match=match):
+            formula_column_sigma(*args[:3])
 
 
 @pytest.mark.parametrize("cid", builtin_code_ids())
@@ -185,6 +200,22 @@ def test_count_ops_hand_built():
                        slots=slots, ops=(Op("DIV4", 1, (0,)),),
                        outputs=(1,), sigma_slot=0, sigma_inv_slot=1)
     assert count_ops(one_div) == OpCount(4, 0)
+
+
+def test_div4_edge_values_bitwise():
+    # a DIV4 step gives exactly the bytes of 1.0 / sigma, signed zeros,
+    # infinities, NaN, a subnormal and the largest double included
+    sched = Schedule(code_id="x", m=1, level=0, n_h=1, n_y=1,
+                     slots=(Slot("h1", "h", index=0), Slot("t1", "temp")),
+                     ops=(Op("DIV4", 1, (0,)),), outputs=(1,), sigma_slot=0,
+                     sigma_inv_slot=1)
+    h = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                  1.7976931348623157e308, 3.0])
+    with np.errstate(divide="ignore", over="ignore"):
+        got = execute_schedule(sched, h[:, None], np.zeros((len(h), 1)))
+        want = 1.0 / h
+    assert got.shape == (len(h), 1)
+    assert np.array_equal(got[:, 0].view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind,args", [("SQRT", (0,)), ("ADD", (0,))],
