@@ -123,7 +123,8 @@ class DispersionCode:
                     raise ValueError(f"dispersion matrices must be {self.t}x{self.n}")
                 for row in mat:
                     for tag in row:
-                        if tag not in _TAG_VALUES:
+                        # 1.0, True and np.int64(1) hash as 1 but are no tags
+                        if type(tag) is not int or tag not in _TAG_VALUES:
                             raise ValueError(f"invalid entry tag {tag!r}")
 
     @cached_property

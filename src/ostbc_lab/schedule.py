@@ -411,7 +411,10 @@ _PLAN_CONSTS = {"zero": 0.0,
 def _compile_plan(sched: Schedule) -> _Plan:
     """Linear-scan register allocation over the single-assignment ops.
 
-    A slot's register is freed after the last op that reads it, outputs
+    Registers are counted down from -1: a new one is taken from the free
+    list, the last freed first, else it is one below the lowest taken so
+    far, and the plan's register count is minus the lowest one taken.  A
+    slot's register is freed after the last op that reads it, outputs
     excepted, and a temp may take a register its own operands free.  An
     entry slot is bound just before the first op that reads it, summed in
     ``evaluate_lattice_batch``'s order: 0.0 plus each term in stored order.
@@ -432,7 +435,7 @@ def _compile_plan(sched: Schedule) -> _Plan:
     bound: list[int | None] = [None] * len(slots)  # operand of each slot
     free: list[int] = []
     steps: list[tuple] = []
-    registers = 0
+    top = 0  # the lowest register taken
     for k, (kind, dst, args) in enumerate(
             (*ops, *[(None, -1, (o,)) for o in sched.outputs])):
         spec = _KINDS.get(kind)
@@ -451,11 +454,7 @@ def _compile_plan(sched: Schedule) -> _Plan:
                     if not 0 <= i < n_h:
                         raise RuntimeError(f"slot {name} reads h index {i} "
                                            f"of {n_h}")
-                    if free:
-                        t = free.pop()
-                    else:
-                        registers += 1
-                        t = -registers
+                    t = free.pop() if free else (top := top - 1)
                     if abs(tag) == 1:  # r - h is r + (-1.0 * h) exactly
                         steps.append((np.add if tag == 1 else np.subtract,
                                       r, i, t))
@@ -492,16 +491,11 @@ def _compile_plan(sched: Schedule) -> _Plan:
             last[a] = end
             if x < 0:
                 free.append(x)
-        if free:
-            out = free.pop()
-        else:
-            registers += 1
-            out = -registers
-        bound[dst] = out
+        bound[dst] = out = free.pop() if free else (top := top - 1)
         steps.append((spec[0], x, y, out))
     values = tuple(np.float64(_PLAN_CONSTS[key] if type(key) is str
                               else slots[key].value) for key in consts)
-    return _Plan(registers, values, tuple(steps),
+    return _Plan(-top, values, tuple(steps),
                  tuple(bound[o] for o in sched.outputs))
 
 

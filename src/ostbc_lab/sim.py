@@ -81,7 +81,7 @@ import math
 import numbers
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -191,16 +191,11 @@ class SimConfig:
         # is copied
         _substreams.check_key(self.seed, points, self.trials)
         for snr in self.snr_db:
-            # bool is an int to Python, and float() would parse a string
-            if not isinstance(snr, numbers.Real) or isinstance(snr, bool):
-                raise ValueError(f"snr_db must hold real numbers in dB, "
-                                 f"got {snr!r}")
+            _noise_scale(snr)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "decoders", _decoder_names(self.decoders))
         if not self.snr_db:
             raise ValueError("snr_db must be nonempty")
-        for snr in self.snr_db:
-            _noise_scale(snr)
 
 
 @dataclass(frozen=True)
@@ -246,12 +241,16 @@ def sample_channel(n: int, m: int, rng: np.random.Generator) -> ChannelRealizati
 
 def _noise_scale(snr_db: float) -> float:
     """sqrt(N0 / 2) with N0 = 10**(-snr_db/10), 0.0 at +inf: the one SNR
-    check.  NaN, -inf and SNRs whose N0 is not finite (below about
-    -3082.5 dB) raise ValueError."""
+    check.  Values that are not real numbers, bools included, NaN, -inf and
+    SNRs whose N0 is not finite (below about -3082.5 dB) raise ValueError."""
+    # bool is an int to Python, and float() would parse a string
+    if not isinstance(snr_db, numbers.Real) or isinstance(snr_db, bool):
+        raise ValueError(f"snr_db must hold real numbers in dB, "
+                         f"got {snr_db!r}")
     if snr_db == math.inf:
         return 0.0
     try:
-        n0 = 10.0 ** (-snr_db / 10.0)
+        n0 = 10.0 ** (-float(snr_db) / 10.0)
     except OverflowError:
         n0 = math.inf
     if not math.isfinite(n0):
@@ -508,31 +507,11 @@ def run_ber(config: SimConfig) -> BerResult:
 
 
 def ber_to_json(result: BerResult) -> str:
-    doc = {
-        "schema": SCHEMA,
-        "config": {
-            "code": result.config.code,
-            "constellation": result.config.constellation,
-            "snr_db": list(result.config.snr_db),
-            "trials": result.config.trials,
-            "seed": result.config.seed,
-            "m": result.config.m,
-            "decoders": list(result.config.decoders),
-        },
-        "rng": result.rng,
-        "snr_convention": "per-receive-antenna Es/N0, unit symbol energy",
-        "agreement": result.agreement,
-        "points": [{
-            "snr_db": p.snr_db,
-            "trials": p.trials,
-            "sym_errors": p.sym_errors,
-            "bit_errors": p.bit_errors,
-            "ser": p.ser,
-            "ber": p.ber,
-            "redraws": p.redraws,
-            "disagreements": p.disagreements,
-        } for p in result.points],
-    }
+    """The ``ostbc-lab/1`` document: every field of the result, its config
+    and its points, plus the schema tag, the overall agreement and the SNR
+    convention, with sorted keys."""
+    doc = {**asdict(result), "schema": SCHEMA, "agreement": result.agreement,
+           "snr_convention": "per-receive-antenna Es/N0, unit symbol energy"}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -221,8 +221,12 @@ def test_parse_rejects_malformed_text(text, match):
     ({"t": 1.5}, "^t must be an integer$"),
     ({"k": "1"}, "^k must be an integer$"),
     ({"c": np.float64(1.0)}, "^c must be an integer$"),
+    # each equals the tag 1, and would be carried into the lattice entries
+    ({"a_tags": (((1.0,),),)}, r"^invalid entry tag 1\.0$"),
+    ({"a_tags": (((True,),),)}, "^invalid entry tag True$"),
+    ({"b_tags": (((np.int64(1),),),)}, r"^invalid entry tag np\.int64\(1\)$"),
 ], ids=["scale", "matrix-count", "matrix-shape", "tag", "float-n", "float-t",
-        "str-k", "float-c"])
+        "str-k", "float-c", "float-tag", "bool-tag", "numpy-int-tag"])
 def test_dispersion_code_rejects(kw, match):
     base = dict(id="x", n=1, t=1, k=1, c=1, a_tags=(((1,),),),
                 b_tags=(((1,),),))

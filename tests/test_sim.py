@@ -89,9 +89,17 @@ def test_noisy_trial_decoders_agree():
     ({"decoders": ("all", "bogus")}, r"^unknown decoders \['bogus'\]"),
     ({"decoders": ("lattice", "lattice")}, "^decoders must not repeat"),
     ({"decoders": ("all", "all")}, "^decoders must not repeat"),
+    # True would run at 1 dB; the others would fail with a TypeError that
+    # names no argument
+    ({"snr_db": True}, "^snr_db must hold real numbers in dB, got True$"),
+    ({"snr_db": np.True_}, "^snr_db must hold real numbers in dB"),
+    ({"snr_db": "3"}, "^snr_db must hold real numbers in dB, got '3'$"),
+    ({"snr_db": None}, "^snr_db must hold real numbers in dB, got None$"),
+    ({"snr_db": 1 + 0j}, r"^snr_db must hold real numbers in dB, got \(1\+0j\)$"),
 ], ids=["nan-snr", "-inf-snr", "no-decoders", "float-m", "str-m",
         "overflowing-snr", "unknown-next-to-all", "repeated-decoder",
-        "repeated-all"])
+        "repeated-all", "bool-snr", "numpy-bool-snr", "str-snr", "none-snr",
+        "complex-snr"])
 def test_run_trial_rejects(kw, match):
     # without the checks a NaN soft output quantizes to the top index
     # silently, no decoder fails with an IndexError, and a float m fails
@@ -229,11 +237,13 @@ def test_config_rejection_names_the_field(kw, match):
 
 
 def test_config_accepts_real_snr_elements():
-    # NumPy's integer and float scalars are real numbers; all become floats
+    # NumPy's integer and float scalars are real numbers; all become floats.
+    # They are checked before that, and N0 of -400 dB, 1e40, is no float16
     cfg = SimConfig(code="g2", constellation="4qam",
-                    snr_db=(3, np.int64(6), np.float32(0.5), np.float64(9.0)),
+                    snr_db=(3, np.int64(6), np.float32(0.5), np.float64(9.0),
+                            np.float16(-400.0)),
                     trials=10, seed=0)
-    assert cfg.snr_db == (3.0, 6.0, 0.5, 9.0)
+    assert cfg.snr_db == (3.0, 6.0, 0.5, 9.0, -400.0)
     assert all(type(s) is float for s in cfg.snr_db)
 
 
@@ -710,8 +720,16 @@ def test_json_document(small_result):
     assert doc["config"]["code"] == "g4"
     assert doc["config"]["seed"] == 17
     assert len(doc["points"]) == 2
+    # ber_to_json writes every field of the records: a field added to one
+    # changes the ostbc-lab/1 file, and must be a decision about the schema
+    assert doc.keys() == {"agreement", "config", "points", "rng", "schema",
+                          "snr_convention"}
+    assert doc["config"].keys() == {"code", "constellation", "snr_db",
+                                    "trials", "seed", "m", "decoders"}
     k = get_code("g4").k
     for p in doc["points"]:
+        assert p.keys() == {"snr_db", "trials", "sym_errors", "bit_errors",
+                            "ser", "ber", "redraws", "disagreements"}
         assert p["ser"] == p["sym_errors"] / (p["trials"] * k)
         assert p["ber"] == p["bit_errors"] / (p["trials"] * k * 2)
 
