@@ -1,15 +1,13 @@
+import itertools
 import json
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import ostbc_lab
-
-from ostbc_lab import cli
+from fresh_python import run_python
+from ostbc_lab import cli, sim
 from ostbc_lab.cli import main, table_csv
 from ostbc_lab.codes import format_code_text, get_code
 
@@ -60,10 +58,33 @@ def test_schedule_dump_out_file(capsys, tmp_path):
     assert f"wrote {path}" in err
 
 
+def test_console_script_is_entry(capsys, monkeypatch):
+    # the [project.scripts] table read by a regex: tomllib is 3.11+, and
+    # the package supports 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)", text,
+                        re.M)
+    assert scripts.group(1).splitlines() == [
+        'ostbc-lab = "ostbc_lab.cli:entry"']
+    monkeypatch.setattr(sys, "argv",
+                        ["ostbc-lab", "count", "--code", "g2", "--m", "0"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: m must be >= 1" in captured.err
+
+
 def test_unknown_code_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--code", "g9"])
     assert exc.value.code == 2
+
+
+# The paper's counts, through the schedule compiler.
+PAPER_ROWS = ["g2,1,L2,28,15", "g3,2,L1,217,195", "g3,2,L2,121,195",
+              "g4,1,L1,149,127", "g4,1,L2,85,127", "h3,1,L2,54,47"]
 
 
 def test_table_stdout_matches_library(capsys):
@@ -73,7 +94,7 @@ def test_table_stdout_matches_library(capsys):
     lines = out.splitlines()
     assert lines[0] == "# schema: ostbc-lab/1"
     assert lines[1] == "code,m,source,rm,ra"
-    assert "g3,2,L2,121,195" in lines
+    assert [row for row in PAPER_ROWS if row not in lines] == []
     assert "g3,2,formula_column_sigma,300,279" in lines
     assert "g4,1,formula_channel_sigma,148,127" in lines
     assert "h3,1,L1,58,47" in lines
@@ -101,12 +122,17 @@ def test_count_rejects_malformed_level(capsys):
     assert "error: level must be one of" in err
 
 
-def test_verify_builtin_passes(capsys):
-    rc, out, _ = run(capsys, "verify", "--code", "h3", "--trials", "50")
+BUILTIN_C = {"g2": 1, "g3": 2, "g4": 2, "h3": 1}
+
+
+@pytest.mark.parametrize("cid,m", itertools.product(BUILTIN_C, (1, 2)))
+def test_verify_builtin_passes(capsys, cid, m):
+    rc, out, _ = run(capsys, "verify", "--code", cid, "--m", str(m),
+                     "--trials", "200")
     assert rc == 0
     doc = json.loads(out)
     assert doc["pass"] is True
-    assert doc["c"] == 1
+    assert doc["c"] == BUILTIN_C[cid]
     assert doc["max_offdiag_rel"] < 1e-9
 
 
@@ -144,21 +170,13 @@ def test_verify_file_with_wrong_declared_c_fails(capsys, tmp_path):
     assert "invariant failure" not in err
 
 
-def run_module(module, *argv):
-    env = dict(os.environ)
-    src = str(Path(ostbc_lab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
 @pytest.mark.parametrize("module", ["ostbc_lab", "ostbc_lab.cli"])
 def test_python_dash_m_runs_the_cli(module):
-    proc = run_module(module, "verify", "--code", "g2", "--trials", "3")
+    proc = run_python("-m", module, "verify", "--code", "g3", "--m", "2",
+                      "--trials", "50", timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
-    proc = run_module(module, "verify", "--m", "0")
+    proc = run_python("-m", module, "verify", "--m", "0", timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "--m" in proc.stderr
@@ -199,6 +217,50 @@ def test_simulate_outputs(capsys, tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "r1.json").read_text())
     assert doc["schema"] == "ostbc-lab/1"
     assert doc["config"]["trials"] == 200
+
+
+# Each sweep at seed 5 on one worker and on two:
+# - g3-m2: one SNR point cut into three (point, block) tasks.
+# - g2: two points of 16385 trials, three tasks per point. A g2 draw block
+#   holds 1433 trials, which does not divide the 8192-trial task, so each
+#   task ends on a clipped block and the 1-trial last task is a block of
+#   its own.
+# - h3-all: two points of 9000 trials, two tasks per point, one of them
+#   partial, and all five decode routes.
+# - g3-m2-all: the exhaustive search covers 4**8 = 65536 candidates per
+#   trial, and two points of 2000 trials are two tasks, one per worker.
+# - g4-m2-all: the complex routes build F from every (trial, receive
+#   antenna) pair at once, so a slip in the receive antenna order of F's
+#   rows breaks agreement with the lattice route and the search here,
+#   where M = 1 cannot show it.
+WORKER_SWEEPS = {
+    "g3-m2": "--code g3 --m 2 --mod 16qam --snr 0 --trials 20000",
+    "g2": "--code g2 --mod 16qam --snr 0,6 --trials 16385",
+    "h3-all": "--code h3 --mod 4qam --snr 0,6 --trials 9000 --decoders all",
+    "g3-m2-all": "--code g3 --m 2 --mod 16qam --snr 0,6 --trials 2000 "
+                 "--decoders all",
+    "g4-m2-all": "--code g4 --m 2 --mod 4qam --snr 0,6 --trials 9000 "
+                 "--decoders all",
+}
+
+
+@pytest.mark.parametrize("name", WORKER_SWEEPS)
+def test_simulate_independent_of_worker_count(capsys, tmp_path, monkeypatch,
+                                              no_live_pool, name):
+    # the files must be byte-identical, and every selected decode route
+    # must agree on every trial; the CPU count is raised so "2" runs two
+    # pool workers on any host
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OSTBC_LAB_THREADS", threads)
+        rc, _, _ = run(capsys, "simulate", *WORKER_SWEEPS[name].split(),
+                       "--seed", "5", "--out", str(tmp_path / threads))
+        assert rc == 0
+    assert sim._POOL[1] == 2
+    for ext in (".json", ".csv"):
+        assert (tmp_path / f"1{ext}").read_bytes() \
+            == (tmp_path / f"2{ext}").read_bytes()
+    assert json.loads((tmp_path / "1.json").read_text())["agreement"] == 1.0
 
 
 def test_simulate_out_into_missing_directory_fails_before_sweep(
@@ -255,9 +317,11 @@ def test_simulate_bad_thread_count_names_variable(capsys, tmp_path,
 
 @pytest.mark.parametrize("snr", ["nan", "0,-inf", "-4000"])
 def test_simulate_rejects_undefined_snr(capsys, tmp_path, snr):
-    rc, _, err = run(capsys, "simulate", "--code", "g2", "--mod", "4qam",
-                     "--snr", snr, "--out", str(tmp_path / "x"))
+    rc, out, err = run(capsys, "simulate", "--code", "g2", "--mod", "4qam",
+                       "--snr", snr, "--trials", "10",
+                       "--out", str(tmp_path / "x"))
     assert rc == 2
+    assert out == ""
     assert "snr_db" in err
     assert not (tmp_path / "x.json").exists()
 

@@ -4,16 +4,14 @@ import math
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fresh_python import run_python
 from ostbc_lab import _substreams, sim
 from ostbc_lab.codes import get_code
 from ostbc_lab.constellation import get_constellation
@@ -134,20 +132,10 @@ EMPTY_CHANNEL_CALLS = {
 }
 
 
-def run_python(code, timeout):
-    """Run `code` in a fresh interpreter that imports this ostbc_lab."""
-    env = dict(os.environ)
-    src = str(Path(sim.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=timeout)
-
-
 @pytest.mark.parametrize("call", EMPTY_CHANNEL_CALLS)
 def test_empty_channel_is_rejected_not_redrawn_forever(call):
     code, message = EMPTY_CHANNEL_CALLS[call]
-    proc = run_python(f"import numpy as np; {code}", timeout=30)
+    proc = run_python("-c", f"import numpy as np; {code}", timeout=30)
     assert proc.returncode == 1
     assert f"ValueError: {message}" in proc.stderr
 
@@ -541,22 +529,6 @@ def test_sweep_independent_of_worker_count(monkeypatch, multi_task_sweep,
     assert ber_to_json(run_ber(cfg)) == serial
 
 
-@pytest.fixture
-def no_live_pool():
-    """No process pool before the test and none left after it, so a pool
-    (or a stand-in) the test makes is not reused by another test."""
-
-    def drop():
-        pool = sim._POOL[0]
-        sim._POOL[:] = None, 0
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    drop()
-    yield
-    drop()
-
-
 def pool_pids():
     return {p.pid for p in multiprocessing.active_children()}
 
@@ -579,12 +551,20 @@ def two_workers(monkeypatch, no_live_pool):
     monkeypatch.setenv("OSTBC_LAB_THREADS", "2")
 
 
-def test_pool_outlives_the_sweep(two_workers):
-    first = ber_to_json(run_ber(H3_TWO_POINTS))
-    pids = pool_pids()
-    assert len(pids) == 2
-    assert ber_to_json(run_ber(H3_TWO_POINTS)) == first
-    assert pool_pids() == pids
+def test_pool_outlives_the_sweep(monkeypatch, two_workers):
+    # the h3 4qam all sweep of tests/test_cli.py's worker-count sweeps at 2,
+    # 1 and 2 workers: the one-worker sweep leaves the pool alone, and the
+    # third sweep reuses the first one's workers
+    cfg = SimConfig(code="h3", constellation="4qam", snr_db=(0.0, 6.0),
+                    trials=9000, seed=5, decoders=("all",))
+    files, pids = [], []
+    for threads in ("2", "1", "2"):
+        monkeypatch.setenv("OSTBC_LAB_THREADS", threads)
+        files.append(ber_to_json(run_ber(cfg)))
+        pids.append(pool_pids())
+    assert len(pids[0]) == 2
+    assert pids[0] == pids[1] == pids[2]
+    assert files[0] == files[1] == files[2]
 
 
 def test_pool_is_replaced_when_its_size_changes(monkeypatch, two_workers):
@@ -623,6 +603,7 @@ def test_broken_pool_is_dropped(monkeypatch, two_workers):
 
 def test_pool_workers_exit_with_the_interpreter():
     proc = run_python(
+        "-c",
         "import multiprocessing, os\n"
         "from ostbc_lab import sim\n"
         "sim._usable_cpus = lambda: 2\n"
@@ -640,6 +621,7 @@ def test_pool_workers_exit_with_the_interpreter():
 def test_one_worker_sweep_loads_no_pool_machinery():
     # _pool imports the process pool when a sweep first needs one
     proc = run_python(
+        "-c",
         "import os, sys\n"
         "os.environ['OSTBC_LAB_THREADS'] = '1'\n"
         "import ostbc_lab\n"
