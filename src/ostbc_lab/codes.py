@@ -13,7 +13,7 @@ with real dispersion matrices A_k, B_k of shape T x N.  Orthogonality means
 for an integer scale c >= 1.  Four classic codes are built in:
 
     g2  Alamouti        N=2, T=2, K=2, c=1   rate 1
-    g3  rate-1/2        N=3, T=8, K=4, c=2
+    g3  rate-1/2        N=3, T=8, K=4, c=2   g4 on its first three antennas
     g4  rate-1/2        N=4, T=8, K=4, c=2
     h3  rate-3/4        N=3, T=4, K=3, c=1
 
@@ -159,11 +159,12 @@ def _tags_to_array(tags: tuple[TagMatrix, ...]) -> np.ndarray:
 _GEN_TOKEN = re.compile(r"^(-)?s(\d+)(\*)?$")
 
 
-def _code_from_generator(cid: str, c: int, k: int, rows: list[str]) -> DispersionCode:
+def _code_from_generator(cid: str, c: int, k: int,
+                         rows: tuple[str, ...]) -> DispersionCode:
     """Build a code whose block entries are all of the form +-s_k or +-s_k*.
 
     Each row string holds N whitespace-separated tokens, one per antenna,
-    e.g. "-s2* s1* 0".  An entry +-s_k contributes +-1 to both A_k and B_k;
+    e.g. "-s2* s1*".  An entry +-s_k contributes +-1 to both A_k and B_k;
     an entry +-s_k* contributes +-1 to A_k and -+1 to B_k.
     """
     t = len(rows)
@@ -172,51 +173,27 @@ def _code_from_generator(cid: str, c: int, k: int, rows: list[str]) -> Dispersio
     b = [[[0] * n for _ in range(t)] for _ in range(k)]
     for ti, row in enumerate(rows):
         for ni, token in enumerate(row.split()):
-            if token == "0":
-                continue
-            m = _GEN_TOKEN.match(token)
-            if m is None:
-                raise ValueError(f"bad generator token {token!r}")
-            sign = -1 if m.group(1) else 1
-            ki = int(m.group(2)) - 1
-            a[ki][ti][ni] = sign
-            b[ki][ti][ni] = -sign if m.group(3) else sign
+            minus, ki, conj = _GEN_TOKEN.match(token).groups()
+            sign = -1 if minus else 1
+            a[int(ki) - 1][ti][ni] = sign
+            b[int(ki) - 1][ti][ni] = -sign if conj else sign
     freeze = lambda mats: tuple(tuple(tuple(row) for row in mat) for mat in mats)
     return DispersionCode(id=cid, n=n, t=t, k=k, c=c,
                           a_tags=freeze(a), b_tags=freeze(b))
 
 
-def _make_g2() -> DispersionCode:
-    return _code_from_generator("g2", c=1, k=2, rows=[
-        "s1 s2",
-        "-s2* s1*",
-    ])
-
-
-def _make_g3() -> DispersionCode:
-    return _code_from_generator("g3", c=2, k=4, rows=[
-        "s1 s2 s3",
-        "-s2 s1 -s4",
-        "-s3 s4 s1",
-        "-s4 -s3 s2",
-        "s1* s2* s3*",
-        "-s2* s1* -s4*",
-        "-s3* s4* s1*",
-        "-s4* -s3* s2*",
-    ])
-
-
-def _make_g4() -> DispersionCode:
-    return _code_from_generator("g4", c=2, k=4, rows=[
-        "s1 s2 s3 s4",
-        "-s2 s1 -s4 s3",
-        "-s3 s4 s1 -s2",
-        "-s4 -s3 s2 s1",
-        "s1* s2* s3* s4*",
-        "-s2* s1* -s4* s3*",
-        "-s3* s4* s1* -s2*",
-        "-s4* -s3* s2* s1*",
-    ])
+# Tarokh, Jafarkhani & Calderbank's rate-1/2 G4 (IEEE Trans. IT 1999); their
+# G3 is G4 on its first three antennas, each row without its last token.
+_G4_ROWS = (
+    "s1 s2 s3 s4",
+    "-s2 s1 -s4 s3",
+    "-s3 s4 s1 -s2",
+    "-s4 -s3 s2 s1",
+    "s1* s2* s3* s4*",
+    "-s2* s1* -s4* s3*",
+    "-s3* s4* s1* -s2*",
+    "-s4* -s3* s2* s1*",
+)
 
 
 def _make_h3() -> DispersionCode:
@@ -233,10 +210,13 @@ def _make_h3() -> DispersionCode:
                           a_tags=(a1, a2, a3), b_tags=(b1, b2, b3))
 
 
+# code id -> factory, called once per process behind get_code's cache
 _BUILTINS = {
-    "g2": _make_g2,
-    "g3": _make_g3,
-    "g4": _make_g4,
+    "g2": lambda: _code_from_generator("g2", c=1, k=2,
+                                       rows=("s1 s2", "-s2* s1*")),
+    "g3": lambda: _code_from_generator("g3", c=2, k=4, rows=tuple(
+        row.rsplit(maxsplit=1)[0] for row in _G4_ROWS)),
+    "g4": lambda: _code_from_generator("g4", c=2, k=4, rows=_G4_ROWS),
     "h3": _make_h3,
 }
 

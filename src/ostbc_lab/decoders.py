@@ -80,7 +80,10 @@ _SLICE = 2 ** 13
 
 
 class DegenerateChannelError(ValueError):
-    """All-zero channel: sigma = 0 and the matched filter is undefined."""
+    """sigma is not a positive finite number, so the matched filter cannot be
+    divided by it: an all-zero channel (sigma = 0), or a hand-made
+    ``RealLattice`` with sigma = nan or inf.  A NaN or infinite channel or
+    received value raises a plain ValueError before that."""
 
 
 class SearchSpaceError(ValueError):
@@ -186,20 +189,24 @@ MATCHED_FILTERS = {"lattice": _lattice, "trace": _trace, "f": _f,
                    "fprime": _fprime}
 
 
-def _decide(z: np.ndarray, constellation: Constellation) -> DecodedMessage:
+def _decision(z: np.ndarray, sigma: float, constellation: Constellation
+              ) -> tuple[SoftEstimate, DecodedMessage]:
+    """The one-trial decision from the unscaled matched-filter output z:
+    check 0 < sigma < inf, divide by sigma and quantize per component."""
+    if not 0.0 < sigma < np.inf:
+        raise DegenerateChannelError(f"sigma = {sigma!r} is not in (0, inf)")
+    z = z / sigma
     idx = quantize_indices(z, constellation.component_alphabet)
-    return DecodedMessage.from_indices(idx, constellation)
-
-
-def _check_sigma(sigma: float) -> None:
-    if sigma <= 0.0:
-        raise DegenerateChannelError("sigma = 0; all-zero channel realization")
+    return SoftEstimate(z=z), DecodedMessage.from_indices(idx, constellation)
 
 
 def _check_shape(name: str, value: np.ndarray, want: tuple[int, ...]) -> None:
-    """Reject a received block or vector that would otherwise broadcast."""
+    """Reject a received block or vector that would otherwise broadcast, or
+    that holds a NaN or an infinity."""
     if value.shape != want:
         raise ValueError(f"{name} has shape {value.shape}, expected {want}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} holds a NaN or an infinity")
 
 
 def _real_vector(name: str, value, want: tuple[int, ...], *form) -> np.ndarray:
@@ -215,20 +222,17 @@ def _real_vector(name: str, value, want: tuple[int, ...], *form) -> np.ndarray:
 def decode_lattice(lat: RealLattice, ycheck,
                    constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
     """ML decode from the real lattice: xhat = Hc^T ycheck / sigma."""
-    _check_sigma(lat.sigma)
     ycheck = _real_vector("ycheck", ycheck, lat.hcheck.shape[:1])
-    z = _lattice(None, None, lat.hcheck, ycheck) / lat.sigma
-    return SoftEstimate(z=z), _decide(z, constellation)
+    return _decision(_lattice(None, None, lat.hcheck, ycheck), lat.sigma,
+                     constellation)
 
 
 def _decode_route(name: str, code: DispersionCode, ch, yv: np.ndarray,
                   constellation: Constellation):
     """One-trial decode through a complex route; ch is the resolved
     channel and yv the interleaved received vector of matching length."""
-    sigma = float(channel_sigma(code, ch.h))
-    _check_sigma(sigma)
-    z = MATCHED_FILTERS[name](code, ch.h, None, yv) / sigma
-    return SoftEstimate(z=z), _decide(z, constellation)
+    return _decision(MATCHED_FILTERS[name](code, ch.h, None, yv),
+                     float(channel_sigma(code, ch.h)), constellation)
 
 
 def decode_trace(code: DispersionCode, channel, Y,

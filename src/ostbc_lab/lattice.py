@@ -277,6 +277,8 @@ def _as_channel(code: DispersionCode, channel) -> ChannelRealization:
         raise ValueError(
             f"channel has {ch.n} rows but code {code.id!r} uses {code.n} "
             f"transmit antennas")
+    if not np.isfinite(ch.h).all():
+        raise ValueError("channel holds a NaN or an infinity")
     return ch
 
 

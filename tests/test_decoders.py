@@ -481,6 +481,42 @@ def test_degenerate_channel_rejected():
         decode_Fprime(code, zero, np.zeros(4), const)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "+inf", "-inf"])
+def test_nonfinite_channel_or_received_value_rejected(bad):
+    # unchecked, each of these decoded silently (indices [1 1 1 1]) and
+    # build_check_H returned sigma = nan or inf, while an all-zero channel
+    # raised; the batched core still propagates NaN and inf
+    code, const = get_code("g2"), get_constellation("4qam")
+    good = np.ones((2, 1), dtype=complex)
+    h = good.copy()
+    h[1, 0] = bad
+    lat = build_check_H(code, good)
+    received = {decode_trace: np.zeros((2, 1), dtype=complex),
+                decode_F: np.zeros(2, dtype=complex),
+                decode_Fprime: np.zeros(4)}
+    for channel in (h, ChannelRealization.from_matrix(h)):
+        with pytest.raises(ValueError, match="^channel holds a NaN or an "
+                                             "infinity$"):
+            build_check_H(code, channel)
+        for decode, y in received.items():
+            with pytest.raises(ValueError, match="^channel holds a NaN "
+                                                 "or an infinity$"):
+                decode(code, channel, y, const)
+    for (decode, y), name in zip(received.items(), ("Y", "z", "zprime")):
+        y = y.copy()
+        y.flat[1] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds a NaN or an "
+                                             f"infinity$"):
+            decode(code, good, y, const)
+    # a hand-made lattice can carry any sigma; 0 < sigma < inf is checked
+    # before the division (a non-finite ycheck: the test below)
+    odd = RealLattice(code_id="g2", m=1, hcheck=lat.hcheck, sigma=bad, c=1)
+    with pytest.raises(DegenerateChannelError,
+                       match=r"^sigma = .* is not in \(0, inf\)$"):
+        decode_lattice(odd, np.zeros(4), const)
+
+
 def test_decode_lattice_rejects_complex_ycheck():
     # np.asarray(..., dtype=float) would decode arange(4) + 1j as arange(4)
     code, const = get_code("g2"), get_constellation("4qam")
@@ -494,10 +530,14 @@ def test_decode_lattice_rejects_complex_ycheck():
     (np.arange(4) + 1j, "^ycheck is complex; .*vectorize_received"),
     (np.ones(5), r"^ycheck has shape \(5,\), expected \(4,\)$"),
     (np.ones((1, 4)), r"^ycheck has shape \(1, 4\), expected \(4,\)$"),
-], ids=["complex", "too-long", "batched"])
+    (np.array([0.0, np.nan, 0.0, 0.0]), "^ycheck holds a NaN or an infinity$"),
+    (np.array([np.inf, 0.0, 0.0, 0.0]), "^ycheck holds a NaN or an infinity$"),
+    (np.array([0.0, 0.0, 0.0, -np.inf]), "^ycheck holds a NaN or an infinity$"),
+], ids=["complex", "too-long", "batched", "nan", "+inf", "-inf"])
 def test_exhaustive_ml_checks_ycheck_as_decode_lattice(ycheck, match):
     # unchecked, a complex ycheck is searched on its real part with only a
-    # ComplexWarning, and a wrong length fails inside NumPy's reshape
+    # ComplexWarning, a wrong length fails inside NumPy's reshape, and a NaN
+    # or an infinity is searched silently ([0 0 0 0] for a NaN)
     code, const = get_code("g2"), get_constellation("4qam")
     lat = build_check_H(code, np.ones((2, 1), dtype=complex))
     for decode in (decode_lattice, exhaustive_ml):

@@ -137,6 +137,8 @@ def test_fully_dense_design_matches_channel_formula(m, want):
 @pytest.mark.parametrize("cid", builtin_code_ids())
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_level_monotonicity(cid, m):
+    # a fact of the built-ins, not of orthogonal designs: on Tarokh's H4
+    # (tests/h4.code) L1 and L2 cost more than L0, see test_h4_counts_frozen
     code = get_code(cid)
     c0, c1, c2 = (generate_schedule(code, m, lv).count for lv in LEVELS)
     assert c2.rm <= c1.rm <= c0.rm
