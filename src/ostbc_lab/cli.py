@@ -207,8 +207,9 @@ def _build_parser() -> argparse.ArgumentParser:
         func=cmd_codes)
 
     p = sub.add_parser("verify", help="check orthogonality invariants")
-    p.add_argument("--code", default="g2", choices=builtin_code_ids())
-    p.add_argument("--file", help="verify a code file instead of a built-in")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--code", default="g2", choices=builtin_code_ids())
+    source.add_argument("--file", help="verify a code file, not a built-in")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

@@ -257,22 +257,38 @@ def evaluate_lattice_batch(sym: SymbolicLattice, h: np.ndarray) -> np.ndarray:
     return out.reshape(b, sym.rows, sym.cols)
 
 
+# The relative tolerance on sigma = c ||H||_F^2 that both of its checks
+# hold to: build_check_H's two sigma routes and verify_lattice's Gram matrix.
+_REL_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class RealLattice:
-    """Numeric lattice for one channel realization."""
+    """Numeric lattice for one channel realization.
 
-    code_id: str
-    m: int
+    hcheck must be a real, finite 2-D array; the lattice stores a read-only
+    float copy of it, so the caller's array stays its own.  sigma is not
+    checked: sigma = 0 is the degenerate lattice ``verify_lattice`` reports,
+    and the decoders reject a sigma outside (0, inf).
+    """
+
     hcheck: np.ndarray  # (2MT, 2K), read-only
     sigma: float        # c * ||H||_F^2
-    c: int
+
+    def __post_init__(self):
+        _require_real("hcheck", self.hcheck, "a real (2MT, 2K) matrix")
+        hc = np.array(self.hcheck, dtype=float)
+        if hc.ndim != 2:
+            raise ValueError(f"hcheck must be 2-D, got shape {hc.shape}")
+        if not np.isfinite(hc).all():
+            raise ValueError("hcheck holds a NaN or an infinity")
+        hc.setflags(write=False)
+        object.__setattr__(self, "hcheck", hc)
 
 
 def _as_channel(code: DispersionCode, channel) -> ChannelRealization:
-    if isinstance(channel, ChannelRealization):
-        ch = channel
-    else:
-        ch = ChannelRealization.from_matrix(channel)
+    ch = channel if isinstance(channel, ChannelRealization) \
+        else ChannelRealization.from_matrix(channel)
     if ch.n != code.n:
         raise ValueError(
             f"channel has {ch.n} rows but code {code.id!r} uses {code.n} "
@@ -301,11 +317,10 @@ def build_check_H(code: DispersionCode, channel) -> RealLattice:
     hc = evaluate_lattice_batch(sym, ch.h[None])[0]
     sigma = float(channel_sigma(code, ch.h))
     col = float(np.dot(hc[:, 0], hc[:, 0]))
-    if abs(col - sigma) > 1e-9 * max(sigma, 1e-300):
+    if abs(col - sigma) > _REL_TOL * max(sigma, 1e-300):
         raise ArithmeticError(
             f"sigma routes disagree: column route {col!r}, norm route {sigma!r}")
-    hc.setflags(write=False)
-    return RealLattice(code_id=code.id, m=ch.m, hcheck=hc, sigma=sigma, c=code.c)
+    return RealLattice(hcheck=hc, sigma=sigma)
 
 
 def channel_sigma(code: DispersionCode, h: np.ndarray) -> np.ndarray:
@@ -389,31 +404,29 @@ def deinterleave(yv: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeReport:
-    """Orthogonality diagnostics of a numeric lattice, all relative to sigma."""
+    """Orthogonality diagnostics of a numeric lattice, all relative to sigma;
+    each must be at most ``_REL_TOL`` to pass."""
 
     passed: bool
     degenerate: bool
-    sigma: float
     max_offdiag_rel: float
     max_diag_spread_rel: float
     sigma_mismatch_rel: float
-    tol: float
 
 
-def verify_lattice(lat: RealLattice, tol: float = 1e-9) -> LatticeReport:
+def verify_lattice(lat: RealLattice) -> LatticeReport:
     """Check H_check^T H_check = sigma I and the two sigma routes agree."""
     sigma = lat.sigma
     if sigma == 0.0:
-        return LatticeReport(passed=False, degenerate=True, sigma=0.0,
-                             max_offdiag_rel=0.0, max_diag_spread_rel=0.0,
-                             sigma_mismatch_rel=0.0, tol=tol)
+        return LatticeReport(passed=False, degenerate=True, max_offdiag_rel=0.0,
+                             max_diag_spread_rel=0.0, sigma_mismatch_rel=0.0)
     gram = lat.hcheck.T @ lat.hcheck
     diag = np.diagonal(gram)
     off = gram - np.diag(diag)
     max_off = float(np.max(np.abs(off))) / sigma
     max_spread = float(np.max(np.abs(diag - sigma))) / sigma
     mismatch = abs(float(np.dot(lat.hcheck[:, 0], lat.hcheck[:, 0])) - sigma) / sigma
-    passed = max_off <= tol and max_spread <= tol and mismatch <= tol
-    return LatticeReport(passed=passed, degenerate=False, sigma=sigma,
+    passed = all(v <= _REL_TOL for v in (max_off, max_spread, mismatch))
+    return LatticeReport(passed=passed, degenerate=False,
                          max_offdiag_rel=max_off, max_diag_spread_rel=max_spread,
-                         sigma_mismatch_rel=mismatch, tol=tol)
+                         sigma_mismatch_rel=mismatch)

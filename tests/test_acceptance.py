@@ -112,7 +112,7 @@ def test_criterion_4_orthogonality():
         for _ in range(1000):
             H = sample_channel_matrix(rng, code.n, 1)
             lat = build_check_H(code, H)
-            rep = verify_lattice(lat, tol=1e-9)
+            rep = verify_lattice(lat)
             assert rep.passed, (cid, rep)
             norm_route = code.c * float(np.sum(np.abs(H) ** 2))
             assert abs(lat.sigma - norm_route) <= 1e-9 * norm_route

@@ -170,6 +170,24 @@ def test_verify_file_with_wrong_declared_c_fails(capsys, tmp_path):
     assert "invariant failure" not in err
 
 
+@pytest.mark.parametrize("file_first", [True, False])
+def test_verify_rejects_file_next_to_code(capsys, tmp_path, file_first):
+    # allowed, the config line echoed "code": "g4" while the file's g2 was
+    # verified, with exit 0
+    path = tmp_path / "g2.code"
+    path.write_text(format_code_text(get_code("g2")))
+    first, second = ["--file", str(path)], ["--code", "g4"]
+    if not file_first:
+        first, second = second, first
+    argv = ["verify", *first, *second]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 @pytest.mark.parametrize("module", ["ostbc_lab", "ostbc_lab.cli"])
 def test_python_dash_m_runs_the_cli(module):
     proc = run_python("-m", module, "verify", "--code", "g3", "--m", "2",

@@ -462,7 +462,7 @@ def test_search_space_guard():
     const = get_constellation("16qam")
     big = np.zeros((4, 26))
     big.setflags(write=False)
-    lat = RealLattice(code_id="fake", m=1, hcheck=big, sigma=1.0, c=1)
+    lat = RealLattice(hcheck=big, sigma=1.0)
     with pytest.raises(SearchSpaceError):
         exhaustive_ml(lat, np.zeros(4), const)
 
@@ -511,7 +511,7 @@ def test_nonfinite_channel_or_received_value_rejected(bad):
             decode(code, good, y, const)
     # a hand-made lattice can carry any sigma; 0 < sigma < inf is checked
     # before the division (a non-finite ycheck: the test below)
-    odd = RealLattice(code_id="g2", m=1, hcheck=lat.hcheck, sigma=bad, c=1)
+    odd = RealLattice(hcheck=lat.hcheck, sigma=bad)
     with pytest.raises(DegenerateChannelError,
                        match=r"^sigma = .* is not in \(0, inf\)$"):
         decode_lattice(odd, np.zeros(4), const)

@@ -1,3 +1,4 @@
+import inspect
 import re
 from dataclasses import fields, replace
 
@@ -11,6 +12,7 @@ from ostbc_lab.codes import _TAG_VALUES, DispersionCode, builtin_code_ids, \
     encode, get_code
 from ostbc_lab.lattice import (
     ChannelRealization,
+    LatticeReport,
     RealLattice,
     build_F,
     build_check_H,
@@ -260,17 +262,46 @@ def test_verify_flags_corruption():
     lat = build_check_H(get_code("g2"), np.array([[1.0 + 0.5j], [-0.25 + 1j]]))
     bad = lat.hcheck.copy()
     bad[0, 1] += 1.0
-    rep = verify_lattice(RealLattice(code_id="g2", m=1, hcheck=bad,
-                                     sigma=lat.sigma, c=1))
+    rep = verify_lattice(RealLattice(hcheck=bad, sigma=lat.sigma))
     assert not rep.passed
-    assert rep.max_offdiag_rel > rep.tol
+    assert rep.max_offdiag_rel > 1e-9
 
 
 def test_verify_degenerate_channel():
     lat = build_check_H(get_code("g2"), np.zeros((2, 1), dtype=complex))
     rep = verify_lattice(lat)
     assert rep.degenerate and not rep.passed
-    assert rep.sigma == 0.0
+    assert lat.sigma == 0.0
+
+
+def test_lattice_records_hold_what_is_read():
+    assert [f.name for f in fields(RealLattice)] == ["hcheck", "sigma"]
+    assert [f.name for f in fields(LatticeReport)] == [
+        "passed", "degenerate", "max_offdiag_rel", "max_diag_spread_rel",
+        "sigma_mismatch_rel"]
+    assert list(inspect.signature(verify_lattice).parameters) == ["lat"]
+
+
+@pytest.mark.parametrize("hcheck,match", [
+    (np.full((4, 4), np.nan), "^hcheck holds a NaN or an infinity$"),
+    (np.diag([1.0, 1.0, 1.0, np.inf]), "^hcheck holds a NaN or an infinity$"),
+    (np.diag([1.0, 1.0, 1.0, -np.inf]), "^hcheck holds a NaN or an infinity$"),
+    (np.eye(4, dtype=complex), "^hcheck is complex"),
+    (np.ones(4), "^hcheck must be 2-D"),
+], ids=["nan", "+inf", "-inf", "complex", "1-D"])
+def test_hand_made_lattice_checks_hcheck(hcheck, match):
+    # unchecked, an all-NaN hcheck decoded silently: decode_lattice gave
+    # indices [1 1 1 1] and exhaustive_ml [0 0 0 0] on g2 4qam
+    with pytest.raises(ValueError, match=match):
+        RealLattice(hcheck=hcheck, sigma=1.0)
+
+
+def test_hand_made_lattice_holds_its_own_hcheck():
+    mine = np.eye(4)
+    lat = RealLattice(hcheck=mine, sigma=1.0)
+    assert mine.flags.writeable and not lat.hcheck.flags.writeable
+    mine[0, 0] = 5.0
+    np.testing.assert_array_equal(lat.hcheck, np.eye(4))
 
 
 def test_wrong_channel_rows_rejected():
