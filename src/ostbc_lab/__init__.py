@@ -20,13 +20,13 @@ from .constellation import (
     Constellation,
     ConstellationError,
     get_constellation,
-    quantize,
+    quantize_indices,
 )
 from .lattice import (
-    ChannelRealization,
     RealLattice,
     build_F,
     build_check_H,
+    unvectorize,
     verify_lattice,
     vectorize_received,
 )
@@ -34,7 +34,6 @@ from .decoders import (
     DecodedMessage,
     DegenerateChannelError,
     SearchSpaceError,
-    SoftEstimate,
     decode_F,
     decode_Fprime,
     decode_lattice,
@@ -58,12 +57,13 @@ __all__ = [
     "DispersionCode", "UnknownCodeError", "CodeFormatError",
     "OrthogonalityError", "builtin_code_ids", "encode", "get_code",
     "load_code_file", "measure_c", "save_code_file",
-    "Constellation", "ConstellationError", "get_constellation", "quantize",
-    "ChannelRealization", "RealLattice", "build_F", "build_check_H",
-    "verify_lattice", "vectorize_received",
+    "Constellation", "ConstellationError", "get_constellation",
+    "quantize_indices",
+    "RealLattice", "build_F", "build_check_H", "verify_lattice",
+    "unvectorize", "vectorize_received",
     "DecodedMessage", "DegenerateChannelError", "SearchSpaceError",
-    "SoftEstimate", "decode_F", "decode_Fprime", "decode_lattice",
-    "decode_trace", "exhaustive_ml",
+    "decode_F", "decode_Fprime", "decode_lattice", "decode_trace",
+    "exhaustive_ml",
     "OpCount", "Schedule", "count_ops", "dump_schedule", "execute_schedule",
     "formula_channel_sigma", "formula_column_sigma", "generate_schedule",
     "BerResult", "SimConfig", "run_ber", "run_trial", "sample_channel",

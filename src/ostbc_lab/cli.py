@@ -57,12 +57,6 @@ def _echo_config(args: argparse.Namespace) -> None:
           file=sys.stderr)
 
 
-def _resolve_code(args):
-    if getattr(args, "file", None):
-        return load_code_file(args.file)
-    return get_code(args.code)
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -92,7 +86,8 @@ def cmd_verify(args) -> int:
         raise ValueError("--m must be >= 1")
     if not 0 <= args.seed < 2 ** 64:
         raise ValueError("--seed must fit in 64 bits")
-    code = _resolve_code(args)
+    code = load_code_file(args.file) if args.file \
+        else get_code(args.code or "g2")
     # c is checked on the dispersion matrices before any channel is drawn:
     # a wrong declared c would otherwise surface only as disagreeing sigmas
     try:
@@ -208,7 +203,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check orthogonality invariants")
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--code", default="g2", choices=builtin_code_ids())
+    # no default: argparse counts an argument that is the default object as
+    # absent, so an interned "g2" would slip past the exclusion in-process
+    source.add_argument("--code", choices=builtin_code_ids(),
+                        help="a built-in code (g2 when neither is given)")
     source.add_argument("--file", help="verify a code file, not a built-in")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--trials", type=int, default=1000)

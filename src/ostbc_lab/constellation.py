@@ -27,7 +27,6 @@ __all__ = [
     "ConstellationError",
     "get_constellation",
     "constellation_names",
-    "quantize",
     "quantize_indices",
 ]
 
@@ -115,20 +114,9 @@ def _midpoints(alphabet: np.ndarray) -> np.ndarray:
     return (alphabet[:-1] + alphabet[1:]) / 2.0
 
 
-def quantize(z: float, alphabet) -> tuple[int, float]:
-    """Nearest alphabet point to z; exact midpoints resolve to the lower index.
-
-    Returns
-    -------
-    (index, value)
-    """
-    alphabet = np.asarray(alphabet, dtype=float)
-    idx = int(quantize_indices(z, alphabet))
-    return idx, float(alphabet[idx])
-
-
 def quantize_indices(z, alphabet) -> np.ndarray:
-    """Vectorized nearest-point indices with the same midpoint tie rule.
+    """Indices of the nearest alphabet points to z; exact midpoints resolve
+    to the lower index.
 
     The index of z is the number of midpoints below it, counted with one
     comparison per midpoint; that is bit for bit

@@ -42,7 +42,9 @@ the per-trial factor arrays, which grow with the batch size;
 ``_search_floats`` gives the largest per-trial array, by which the sweep
 sizes its decode chunks.
 ``decode_lattice``, ``decode_trace``, ``decode_F``, ``decode_Fprime`` and
-``exhaustive_ml`` are their one-trial forms.
+``exhaustive_ml`` are their one-trial forms; the four routes return the
+soft estimate z = Hc^T ycheck / sigma as a (2K,) array (Re s_1, Im s_1,
+..., Re s_K, Im s_K) next to the decision.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .lattice import RealLattice, _as_channel, _require_real, build_F, \
     channel_sigma, deinterleave, interleave, unvectorize, vectorize_received
 
 __all__ = [
-    "SoftEstimate",
     "DecodedMessage",
     "DegenerateChannelError",
     "SearchSpaceError",
@@ -88,24 +89,6 @@ class DegenerateChannelError(ValueError):
 
 class SearchSpaceError(ValueError):
     """Exhaustive candidate grid would exceed MAX_SEARCH_SPACE points."""
-
-
-@dataclass(frozen=True)
-class SoftEstimate:
-    """Unquantized matched-filter output.
-
-    Attributes
-    ----------
-    z : ndarray, shape (2K,)
-        Interleaved real estimate (Re s_1, Im s_1, ..., Re s_K, Im s_K).
-    """
-
-    z: np.ndarray
-
-    @property
-    def symbols(self) -> np.ndarray:
-        """Complex view, shape (K,)."""
-        return deinterleave(self.z)
 
 
 @dataclass(frozen=True)
@@ -190,14 +173,15 @@ MATCHED_FILTERS = {"lattice": _lattice, "trace": _trace, "f": _f,
 
 
 def _decision(z: np.ndarray, sigma: float, constellation: Constellation
-              ) -> tuple[SoftEstimate, DecodedMessage]:
+              ) -> tuple[np.ndarray, DecodedMessage]:
     """The one-trial decision from the unscaled matched-filter output z:
-    check 0 < sigma < inf, divide by sigma and quantize per component."""
+    check 0 < sigma < inf, divide by sigma and take each component's
+    nearest alphabet point."""
     if not 0.0 < sigma < np.inf:
         raise DegenerateChannelError(f"sigma = {sigma!r} is not in (0, inf)")
     z = z / sigma
     idx = quantize_indices(z, constellation.component_alphabet)
-    return SoftEstimate(z=z), DecodedMessage.from_indices(idx, constellation)
+    return z, DecodedMessage.from_indices(idx, constellation)
 
 
 def _check_shape(name: str, value: np.ndarray, want: tuple[int, ...]) -> None:
@@ -220,53 +204,54 @@ def _real_vector(name: str, value, want: tuple[int, ...], *form) -> np.ndarray:
 
 
 def decode_lattice(lat: RealLattice, ycheck,
-                   constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
+                   constellation: Constellation) -> tuple[np.ndarray, DecodedMessage]:
     """ML decode from the real lattice: xhat = Hc^T ycheck / sigma."""
     ycheck = _real_vector("ycheck", ycheck, lat.hcheck.shape[:1])
     return _decision(_lattice(None, None, lat.hcheck, ycheck), lat.sigma,
                      constellation)
 
 
-def _decode_route(name: str, code: DispersionCode, ch, yv: np.ndarray,
-                  constellation: Constellation):
-    """One-trial decode through a complex route; ch is the resolved
-    channel and yv the interleaved received vector of matching length."""
-    return _decision(MATCHED_FILTERS[name](code, ch.h, None, yv),
-                     float(channel_sigma(code, ch.h)), constellation)
+def _decode_route(name: str, code: DispersionCode, h: np.ndarray,
+                  yv: np.ndarray, constellation: Constellation):
+    """One-trial decode through a complex route; h is the checked channel's
+    coefficient vector and yv the interleaved received vector of matching
+    length."""
+    return _decision(MATCHED_FILTERS[name](code, h, None, yv),
+                     float(channel_sigma(code, h)), constellation)
 
 
 def decode_trace(code: DispersionCode, channel, Y,
-                 constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
+                 constellation: Constellation) -> tuple[np.ndarray, DecodedMessage]:
     """ML decode via complex traces of the matched dispersion directions;
     Y is the T x M received block."""
-    ch = _as_channel(code, channel)
+    h, m = _as_channel(code, channel)
     Y = np.asarray(Y)
-    _check_shape("Y", Y, (code.t, ch.m))
-    return _decode_route("trace", code, ch, vectorize_received(Y),
+    _check_shape("Y", Y, (code.t, m))
+    return _decode_route("trace", code, h, vectorize_received(Y),
                          constellation)
 
 
 def decode_F(code: DispersionCode, channel, z_vec,
-             constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
+             constellation: Constellation) -> tuple[np.ndarray, DecodedMessage]:
     """ML decode from the complex equivalent channel applied to z = vec(Y),
     a vector of length MT."""
-    ch = _as_channel(code, channel)
+    h, m = _as_channel(code, channel)
     z_vec = np.asarray(z_vec)
-    _check_shape("z", z_vec, (ch.m * code.t,))
-    return _decode_route("f", code, ch, vectorize_received(z_vec),
+    _check_shape("z", z_vec, (m * code.t,))
+    return _decode_route("f", code, h, vectorize_received(z_vec),
                          constellation)
 
 
 def decode_Fprime(code: DispersionCode, channel, zprime,
-                  constellation: Constellation) -> tuple[SoftEstimate, DecodedMessage]:
+                  constellation: Constellation) -> tuple[np.ndarray, DecodedMessage]:
     """ML decode from the real 2MT x 2K equivalent channel applied to the
     real vector z' = (Re z; Im z) of length 2MT."""
-    ch = _as_channel(code, channel)
-    zprime = _real_vector("zprime", zprime, (2 * ch.m * code.t,),
+    h, m = _as_channel(code, channel)
+    zprime = _real_vector("zprime", zprime, (2 * m * code.t,),
                           "(Re z; Im z), the real parts of z over its "
                           "imaginary parts")
     half = zprime.size // 2
-    return _decode_route("fprime", code, ch,
+    return _decode_route("fprime", code, h,
                          interleave(zprime[:half], zprime[half:]),
                          constellation)
 

@@ -47,7 +47,6 @@ from .codes import _TAG_VALUES, DispersionCode, _integer
 __all__ = [
     "Term",
     "LinForm",
-    "ChannelRealization",
     "SymbolicLattice",
     "RealLattice",
     "LatticeReport",
@@ -73,49 +72,6 @@ LinForm = tuple[Term, ...]
 def h_index(l: int, j: int, imag: bool, n: int) -> int:
     """Flattened index of Re/Im of channel coefficient h_{l+1, j+1} (0-based l, j)."""
     return 2 * l + (1 if imag else 0) + 2 * j * n
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """A channel held once, as its flattened real coefficient vector.
-
-    Attributes
-    ----------
-    h : ndarray, float, shape (2NM,), read-only
-        Re/Im interleaved down each column of the channel matrix.
-    n : int
-        Transmit antennas, the rows of the channel matrix.
-    """
-
-    h: np.ndarray
-    n: int
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "ChannelRealization":
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2:
-            raise ValueError("channel matrix must be 2-D (N x M)")
-        h = vectorize_received(matrix)
-        h.setflags(write=False)
-        return cls(h=h, n=matrix.shape[0])
-
-    @classmethod
-    def from_h(cls, h, n: int, m: int) -> "ChannelRealization":
-        _require_real("h", h)
-        h = np.array(h, dtype=float)
-        if h.shape != (2 * n * m,):
-            raise ValueError(f"expected {2 * n * m} real coefficients, got {h.shape}")
-        h.setflags(write=False)
-        return cls(h=h, n=n)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The complex (N, M) channel matrix, a read-only view of h."""
-        return unvectorize(self.h, self.n)
-
-    @property
-    def m(self) -> int:
-        return self.h.shape[0] // (2 * self.n)
 
 
 @dataclass(frozen=True)
@@ -286,16 +242,19 @@ class RealLattice:
         object.__setattr__(self, "hcheck", hc)
 
 
-def _as_channel(code: DispersionCode, channel) -> ChannelRealization:
-    ch = channel if isinstance(channel, ChannelRealization) \
-        else ChannelRealization.from_matrix(channel)
-    if ch.n != code.n:
+def _as_channel(code: DispersionCode, channel) -> tuple[np.ndarray, int]:
+    """The complex (N, M) channel matrix as (h, M), its coefficient vector
+    and receive antenna count; it must be 2-D, with N rows, and finite."""
+    matrix = np.asarray(channel, dtype=complex)
+    if matrix.ndim != 2:
+        raise ValueError("channel matrix must be 2-D (N x M)")
+    if matrix.shape[0] != code.n:
         raise ValueError(
-            f"channel has {ch.n} rows but code {code.id!r} uses {code.n} "
-            f"transmit antennas")
-    if not np.isfinite(ch.h).all():
+            f"channel has {matrix.shape[0]} rows but code {code.id!r} uses "
+            f"{code.n} transmit antennas")
+    if not np.isfinite(matrix).all():
         raise ValueError("channel holds a NaN or an infinity")
-    return ch
+    return vectorize_received(matrix), matrix.shape[1]
 
 
 def build_check_H(code: DispersionCode, channel) -> RealLattice:
@@ -304,7 +263,7 @@ def build_check_H(code: DispersionCode, channel) -> RealLattice:
     Parameters
     ----------
     code : DispersionCode
-    channel : ChannelRealization or array_like, complex, shape (N, M)
+    channel : array_like, complex, shape (N, M)
 
     Returns
     -------
@@ -312,10 +271,9 @@ def build_check_H(code: DispersionCode, channel) -> RealLattice:
         With sigma = c * ||H||_F^2; the value is cross-checked against the
         first column's self inner product at build time.
     """
-    ch = _as_channel(code, channel)
-    sym = build_symbolic_lattice(code, ch.m)
-    hc = evaluate_lattice_batch(sym, ch.h[None])[0]
-    sigma = float(channel_sigma(code, ch.h))
+    h, m = _as_channel(code, channel)
+    hc = evaluate_lattice_batch(build_symbolic_lattice(code, m), h[None])[0]
+    sigma = float(channel_sigma(code, h))
     col = float(np.dot(hc[:, 0], hc[:, 0]))
     if abs(col - sigma) > _REL_TOL * max(sigma, 1e-300):
         raise ArithmeticError(
@@ -355,8 +313,7 @@ def build_F(code: DispersionCode, channel) -> tuple[np.ndarray, np.ndarray]:
     holds entries j T + t of every vec(A_k H) in (t, k) order, so it
     reshapes to (..., MT, K) without a copy.
     """
-    hm = channel.matrix if isinstance(channel, ChannelRealization) \
-        else np.asarray(channel, dtype=complex)
+    hm = np.asarray(channel, dtype=complex)
     if hm.ndim < 2 or hm.shape[-2] != code.n:
         raise ValueError(f"channel must be (..., {code.n}, M) for code "
                          f"{code.id!r}, got {hm.shape}")
@@ -404,8 +361,8 @@ def deinterleave(yv: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeReport:
-    """Orthogonality diagnostics of a numeric lattice, all relative to sigma;
-    each must be at most ``_REL_TOL`` to pass."""
+    """Orthogonality diagnostics of a numeric lattice, all relative to
+    |sigma|; each must be at most ``_REL_TOL`` to pass."""
 
     passed: bool
     degenerate: bool
@@ -420,12 +377,14 @@ def verify_lattice(lat: RealLattice) -> LatticeReport:
     if sigma == 0.0:
         return LatticeReport(passed=False, degenerate=True, max_offdiag_rel=0.0,
                              max_diag_spread_rel=0.0, sigma_mismatch_rel=0.0)
+    # relative to |sigma|, so that a negative sigma reads as the error it is
+    scale = abs(sigma)
     gram = lat.hcheck.T @ lat.hcheck
     diag = np.diagonal(gram)
     off = gram - np.diag(diag)
-    max_off = float(np.max(np.abs(off))) / sigma
-    max_spread = float(np.max(np.abs(diag - sigma))) / sigma
-    mismatch = abs(float(np.dot(lat.hcheck[:, 0], lat.hcheck[:, 0])) - sigma) / sigma
+    max_off = float(np.max(np.abs(off))) / scale
+    max_spread = float(np.max(np.abs(diag - sigma))) / scale
+    mismatch = abs(float(np.dot(lat.hcheck[:, 0], lat.hcheck[:, 0])) - sigma) / scale
     passed = all(v <= _REL_TOL for v in (max_off, max_spread, mismatch))
     return LatticeReport(passed=passed, degenerate=False,
                          max_offdiag_rel=max_off, max_diag_spread_rel=max_spread,

@@ -96,12 +96,12 @@ from .decoders import (
     exhaustive_indices,
 )
 from .lattice import (
-    ChannelRealization,
     _antenna_count,
     build_symbolic_lattice,
     channel_sigma,
     evaluate_lattice_batch,
     interleave,
+    unvectorize,
 )
 
 if TYPE_CHECKING:
@@ -233,10 +233,10 @@ class BerResult:
         return 1.0 - bad / total
 
 
-def sample_channel(n: int, m: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw H with i.i.d. CN(0,1) entries (Re, Im each Normal(0, 1/2))."""
-    h = rng.standard_normal(2 * n * m) * RSQRT2
-    return ChannelRealization.from_h(h, n, m)
+def sample_channel(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw the (n, m) channel matrix H with i.i.d. CN(0,1) entries (Re, Im
+    each Normal(0, 1/2)), from 2nm normals in ``vectorize_received`` order."""
+    return unvectorize(rng.standard_normal(2 * n * m) * RSQRT2, n)
 
 
 def _noise_scale(snr_db: float) -> float:

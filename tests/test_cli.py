@@ -173,19 +173,34 @@ def test_verify_file_with_wrong_declared_c_fails(capsys, tmp_path):
 @pytest.mark.parametrize("file_first", [True, False])
 def test_verify_rejects_file_next_to_code(capsys, tmp_path, file_first):
     # allowed, the config line echoed "code": "g4" while the file's g2 was
-    # verified, with exit 0
+    # verified, with exit 0; "--code g2" slipped past in-process while g2
+    # was --code's default, since argparse saw the interned default itself
     path = tmp_path / "g2.code"
     path.write_text(format_code_text(get_code("g2")))
-    first, second = ["--file", str(path)], ["--code", "g4"]
-    if not file_first:
-        first, second = second, first
-    argv = ["verify", *first, *second]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert "not allowed with argument" in captured.err
+    for cid in ("g4", "g2"):
+        first, second = ["--file", str(path)], ["--code", cid]
+        if not file_first:
+            first, second = second, first
+        argv = ["verify", *first, *second]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
+
+def test_verify_echoes_only_the_code_it_verifies(capsys):
+    # with --code defaulting to g2, "verify --file h4.code" echoed
+    # "code": "g2" while it verified h4
+    path = str(Path(__file__).with_name("h4.code"))
+    rc, out, err = run(capsys, "verify", "--file", path, "--trials", "3")
+    assert rc == 0 and json.loads(out)["code"] == "h4"
+    config = json.loads(err.removeprefix("config: ").splitlines()[0])
+    assert config["file"] == path and config["code"] is None
+    # with neither option, verify still checks g2
+    rc, out, err = run(capsys, "verify", "--trials", "3")
+    assert rc == 0 and json.loads(out)["code"] == "g2"
 
 
 @pytest.mark.parametrize("module", ["ostbc_lab", "ostbc_lab.cli"])
@@ -198,6 +213,12 @@ def test_python_dash_m_runs_the_cli(module):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "--m" in proc.stderr
+    h4 = str(Path(__file__).with_name("h4.code"))
+    proc = run_python("-m", module, "verify", "--file", h4, "--code", "g2",
+                      timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not allowed with argument" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

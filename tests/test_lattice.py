@@ -11,7 +11,6 @@ from lattice_ref import entries_value, linform_value
 from ostbc_lab.codes import _TAG_VALUES, DispersionCode, builtin_code_ids, \
     encode, get_code
 from ostbc_lab.lattice import (
-    ChannelRealization,
     LatticeReport,
     RealLattice,
     build_F,
@@ -93,33 +92,20 @@ def sample_channel_matrix(rng, n, m):
 def test_h_vector_indexing():
     rng = np.random.default_rng(0)
     H = sample_channel_matrix(rng, 3, 2)
-    ch = ChannelRealization.from_matrix(H)
+    h = vectorize_received(H)
     for j in range(2):
         for l in range(3):
-            assert ch.h[h_index(l, j, False, 3)] == H[l, j].real
-            assert ch.h[h_index(l, j, True, 3)] == H[l, j].imag
-    assert np.sum(ch.h ** 2) == pytest.approx(np.sum(np.abs(H) ** 2))
+            assert h[h_index(l, j, False, 3)] == H[l, j].real
+            assert h[h_index(l, j, True, 3)] == H[l, j].imag
+    assert np.sum(h ** 2) == pytest.approx(np.sum(np.abs(H) ** 2))
 
 
-def test_from_h_round_trip():
+def test_unvectorize_round_trip():
     rng = np.random.default_rng(1)
     h = rng.standard_normal(12)
-    ch = ChannelRealization.from_h(h, 3, 2)
-    np.testing.assert_array_equal(ChannelRealization.from_matrix(ch.matrix).h, h)
-
-
-def test_channel_is_held_once_as_h():
-    rng = np.random.default_rng(2)
-    h = rng.standard_normal(12)
-    ch = ChannelRealization.from_h(h, 3, 2)
-    assert [f.name for f in fields(ChannelRealization)] == ["h", "n"]
-    assert (ch.n, ch.m) == (3, 2)
-    # the matrix is a read-only view of h, and h a copy of the input
-    assert np.shares_memory(ch.matrix, ch.h)
-    assert not ch.h.flags.writeable and not ch.matrix.flags.writeable
-    h[0] += 1.0
-    assert ch.h[0] != h[0]
-    np.testing.assert_array_equal(ch.matrix, unvectorize(ch.h, 3))
+    H = unvectorize(h, 3)
+    assert H.shape == (3, 2)
+    np.testing.assert_array_equal(vectorize_received(H), h)
 
 
 def test_vectorize_received_example():
@@ -167,12 +153,11 @@ def test_layout_helpers_match_per_item_forms(lead, n, cid, m, seed):
     assert mats.shape == lead + (code.n, m)
     assert sigma.shape == lead
     for i in np.ndindex(lead):
-        ch = ChannelRealization.from_h(h[i], code.n, m)
-        np.testing.assert_array_equal(mats[i], ch.matrix)
+        np.testing.assert_array_equal(mats[i], unvectorize(h[i], code.n))
         np.testing.assert_array_equal(vectorize_received(mats[i]), h[i])
-        assert sigma[i] == build_check_H(code, ch).sigma
+        assert sigma[i] == build_check_H(code, mats[i]).sigma
         assert sigma[i] == pytest.approx(
-            code.c * np.sum(np.abs(ch.matrix) ** 2), rel=1e-12)
+            code.c * np.sum(np.abs(mats[i]) ** 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("key", GOLDEN_ROWS)
@@ -191,10 +176,10 @@ def test_numeric_rows_match_goldens(key):
     sym = build_symbolic_lattice(code, m)
     rng = np.random.default_rng(5)
     for _ in range(100):
-        ch = ChannelRealization.from_matrix(sample_channel_matrix(rng, code.n, m))
-        hc = evaluate_lattice_batch(sym, ch.h[None])[0]
+        h = vectorize_received(sample_channel_matrix(rng, code.n, m))
+        hc = evaluate_lattice_batch(sym, h[None])[0]
         for r, row_text in GOLDEN_ROWS[key].items():
-            want = [linform_value(parse_token(tok), ch.h)
+            want = [linform_value(parse_token(tok), h)
                     for tok in row_text.split()]
             np.testing.assert_array_equal(hc[r], want)
 
@@ -230,13 +215,13 @@ def test_orthogonality_and_sigma(cid, m):
     code = get_code(cid)
     rng = np.random.default_rng(9)
     for _ in range(100):
-        ch = ChannelRealization.from_matrix(sample_channel_matrix(rng, code.n, m))
-        lat = build_check_H(code, ch)
+        H = sample_channel_matrix(rng, code.n, m)
+        lat = build_check_H(code, H)
         gram = lat.hcheck.T @ lat.hcheck
         dev = gram - lat.sigma * np.eye(2 * code.k)
         assert np.max(np.abs(dev)) <= 1e-9 * lat.sigma
         assert lat.sigma == pytest.approx(
-            code.c * np.sum(np.abs(ch.matrix) ** 2), rel=1e-9)
+            code.c * np.sum(np.abs(H) ** 2), rel=1e-9)
         rep = verify_lattice(lat)
         assert rep.passed and not rep.degenerate
 
@@ -265,6 +250,14 @@ def test_verify_flags_corruption():
     rep = verify_lattice(RealLattice(hcheck=bad, sigma=lat.sigma))
     assert not rep.passed
     assert rep.max_offdiag_rel > 1e-9
+    # a negative sigma fails: the errors are relative to |sigma|, so a
+    # division by sigma < 0 no longer turns them negative and "passing"
+    rep = verify_lattice(RealLattice(hcheck=np.zeros((4, 4)), sigma=-1.0))
+    assert not rep.passed and not rep.degenerate
+    assert rep.max_diag_spread_rel == 1.0
+    rep = verify_lattice(RealLattice(hcheck=lat.hcheck, sigma=-lat.sigma))
+    assert not rep.passed
+    assert rep.max_diag_spread_rel == rep.sigma_mismatch_rel == 2.0
 
 
 def test_verify_degenerate_channel():
@@ -312,9 +305,10 @@ def test_wrong_channel_rows_rejected():
 def test_channel_and_lattice_shape_checks():
     code = get_code("g2")
     with pytest.raises(ValueError, match="must be 2-D"):
-        ChannelRealization.from_matrix(np.ones(2))
-    with pytest.raises(ValueError, match="expected 8 real coefficients"):
-        ChannelRealization.from_h(np.ones(6), 2, 2)
+        build_check_H(code, np.ones(2))
+    with pytest.raises(ValueError, match="has 6 coefficients, need 8"):
+        evaluate_lattice_batch(build_symbolic_lattice(code, 2),
+                               np.ones((1, 6)))
     for shape in [(3, 1), (2,), (4, 3, 1)]:
         with pytest.raises(ValueError, match=r"channel must be \(\.\.\., 2, M\)"):
             build_F(code, np.ones(shape, dtype=complex))
@@ -406,13 +400,6 @@ def test_channel_sigma_rejects_complex_h():
     with pytest.raises(ValueError, match="^h is complex; "
                                          ".*vectorize_received"):
         channel_sigma(get_code("g2"), np.ones(4) + 1j)
-
-
-def test_from_h_rejects_complex_h():
-    # np.asarray(..., dtype=float) would keep only the real part
-    with pytest.raises(ValueError, match="^h is complex; "
-                                         ".*vectorize_received"):
-        ChannelRealization.from_h(np.ones(4) + 1j, 2, 1)
 
 
 def add_at_oracle(sym, h):

@@ -13,8 +13,8 @@ from code_transforms import signed_twins
 from lattice_ref import linform_value
 from ostbc_lab import schedule
 from ostbc_lab.codes import DispersionCode, builtin_code_ids, get_code
-from ostbc_lab.lattice import ChannelRealization, build_check_H, \
-    build_symbolic_lattice, channel_sigma, evaluate_lattice_batch
+from ostbc_lab.lattice import build_check_H, build_symbolic_lattice, \
+    channel_sigma, evaluate_lattice_batch, unvectorize
 from ostbc_lab.schedule import (
     LEVELS,
     Op,
@@ -268,7 +268,7 @@ def test_execute_matches_lattice_decode(cid, m, level):
                                  m, level])
     for _ in range(25):
         h = random_h(rng, code, m)
-        lat = build_check_H(code, ChannelRealization.from_h(h, code.n, m))
+        lat = build_check_H(code, unvectorize(h, code.n))
         yv = rng.standard_normal(2 * m * code.t)
         want = lat.hcheck.T @ yv / lat.sigma
         got = execute_schedule(sched, h, yv)
@@ -524,8 +524,8 @@ def test_readme_library_example():
     ns: dict = {}
     exec(block, ns)
     assert ns["sched"].count == OpCount(rm=54, ra=47)
-    assert ns["z"].shape == ns["soft"].z.shape == (6,)
-    np.testing.assert_allclose(ns["z"], ns["soft"].z, rtol=1e-12, atol=0)
+    assert ns["z"].shape == ns["soft"].shape == (6,)
+    np.testing.assert_allclose(ns["z"], ns["soft"], rtol=1e-12, atol=0)
 
 
 # Rows of the register block per built-in code at m = 1 and 2, L0..L2.

@@ -44,15 +44,17 @@ def substream(seed, point, trial):
 
 def test_channel_statistics():
     rng = np.random.default_rng(5)
-    hs = np.array([sample_channel(2, 2, rng).h for _ in range(20000)])
+    hs = np.array([sample_channel(2, 2, rng) for _ in range(20000)])
+    assert hs.shape == (20000, 2, 2)
     # complex entries are CN(0,1): each real dimension Normal(0, 1/2)
+    hs = hs.view(float)
     assert abs(float(hs.mean())) < 0.02
     assert 0.95 < float(2.0 * hs.var()) < 1.05
 
 
 def test_channel_sampling_reproducible():
-    a = sample_channel(3, 2, np.random.default_rng(123)).h
-    b = sample_channel(3, 2, np.random.default_rng(123)).h
+    a = sample_channel(3, 2, np.random.default_rng(123))
+    b = sample_channel(3, 2, np.random.default_rng(123))
     np.testing.assert_array_equal(a, b)
 
 
