@@ -127,6 +127,51 @@ class SymbolicLattice:
             table.append((pos, hidx, coef))
         return tuple(table)
 
+    @cached_property
+    def _column_groups(self) -> tuple[tuple[tuple[bool, tuple], ...], ...]:
+        """Each column's nonzero entries as the schedule's sparse levels
+        factor them: ``[0]`` one group per entry (L1), ``[1]`` grouped by
+        core (L2).
+
+        A column is (column_r, groups): column_r is True when the column
+        has an entry and every entry is root (see ``_decompose``), so that
+        the 1/sqrt(2) is applied once to the column's sum.  A group is
+        (scaled, core, uses), scaled when a root core is scaled on its own,
+        uses the (row, sign) of its entries in row order; groups are in
+        order of their first row.  Cached on the instance, as ``_terms`` is.
+        """
+        levels = ([], [])
+        for j in range(self.cols):
+            items = [(p, *_decompose(row[j]))
+                     for p, row in enumerate(self.entries) if row[j]]
+            column_r = bool(items) and all(root for _, root, _, _ in items)
+            for grouped, columns in enumerate(levels):
+                occ: dict[tuple, list[tuple[int, int]]] = {}
+                for p, root, core, sign in items:
+                    key = (root and not column_r, core, None if grouped else p)
+                    occ.setdefault(key, []).append((p, sign))
+                columns.append((column_r, tuple(
+                    (scaled, core, tuple(uses))
+                    for (scaled, core, _), uses in occ.items())))
+        return tuple(map(tuple, levels))
+
+
+def _decompose(form: LinForm) -> tuple[bool, tuple[tuple[int, int], ...], int]:
+    """Split a nonzero entry into (root, core, sign), form = sign x core.
+
+    root is True when every term carries the 1/sqrt(2) magnitude; the core
+    then holds bare signs.  Otherwise the core keeps the raw tags and any
+    root-tagged term is scaled inline.  The sign makes the core's first
+    coefficient positive.
+    """
+    sign = 1 if form[0][1] > 0 else -1
+    if all(abs(tag) == 2 for _, tag in form):
+        return True, tuple((i, 1 if tag * sign > 0 else -1)
+                           for i, tag in form), sign
+    if sign < 0:
+        form = tuple((i, -tag) for i, tag in form)
+    return False, form, sign
+
 
 def _antenna_count(m) -> int:
     """m as a receive antenna count: an integer (``codes._integer``, so True
@@ -284,6 +329,7 @@ def build_check_H(code: DispersionCode, channel) -> RealLattice:
 def channel_sigma(code: DispersionCode, h: np.ndarray) -> np.ndarray:
     """sigma = c * ||H||_F^2 from coefficient vectors h (..., 2NM) -> (...)."""
     _require_real("h", h)
+    h = np.asarray(h, dtype=float)  # an integer h * h would wrap around
     return code.c * np.sum(h * h, axis=-1)
 
 
@@ -332,7 +378,14 @@ def vectorize_received(y_block) -> np.ndarray:
 def unvectorize(v: np.ndarray, rows: int) -> np.ndarray:
     """Batched inverse of ``vectorize_received``: (..., 2 rows M) reals ->
     complex matrices (..., rows, M), a view like ``deinterleave``'s."""
+    _require_real("v", v)
+    rows = _integer("rows", rows)
+    if rows < 1:
+        raise ValueError(f"rows must be >= 1, got {rows}")
     flat = deinterleave(v)
+    if flat.shape[-1] % rows:
+        raise ValueError(f"v holds {flat.shape[-1]} complex values, not a "
+                         f"multiple of rows = {rows}")
     cols = flat.shape[-1] // rows
     return flat.reshape(flat.shape[:-1] + (cols, rows)).swapaxes(-1, -2)
 

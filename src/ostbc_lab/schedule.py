@@ -19,7 +19,10 @@ scalars, at one of three optimization levels:
   replace merge ADDs one for one, so L1 and L2 report equal addition counts.
 
 Combinations are local to their column: a core like h1+h3 appearing in two
-columns is formed in each, never cached across outputs.
+columns is formed in each, never cached across outputs.  Each column's
+entries, split into sign x core and grouped for L1 and for L2, are computed
+once per symbolic lattice and cached on it (``_column_groups``), so a call
+at L1 or L2 only emits ops.
 
 Cost model: MUL = 1 RM, ADD = 1 RA, NEG free, DIV4 (scalar reciprocal,
 standing in for a real division) = 4 RM.  Subtraction is ADD of a NEG.
@@ -39,23 +42,30 @@ tuples of them.
 
 Execution: on its first ``execute_schedule`` a schedule is compiled once
 into a register plan by a linear scan over its ops (Poletto & Sarkar,
-"Linear Scan Register Allocation", TOPLAS 21(5), 1999).  Every temp and
-entry slot gets a register, which returns to a free list after the last op
-that reads it; outputs stay live to the end.  An entry slot is bound just
-before its first use, not up front, as 0.0 plus each term in stored order:
-a +-1-tag term is one ADD or SUB of its h column from the running sum (IEEE
-defines a - b as a + (-b), signed zeros included), and a +-1/sqrt(2)-tag
-term a MUL by the tag, then an ADD.  Plan constants are NumPy float64
-scalars, handed to the ufuncs as 0-d arrays.  Each call copies h and ycheck into C-contiguous (n, *batch)
-column arrays, allocates one (``Schedule.registers``, *batch) float64
-register block and runs every step as one NumPy ufunc writing into its
-register.  It then copies the 2K outputs into the rows of one C-contiguous
-(2K, *batch) float64 block and returns that block's (*batch, 2K) view: the
-last axis is the strided one, B x 8 bytes apart for a (B,) batch, so
-``np.ascontiguousarray`` of the result makes a row-major copy.  Peak memory
-is about registers x B x 8 bytes plus the inputs, their column copies and
-the output block.  The outputs are bit for bit those of evaluating the ops
-one by one in program order.
+"Linear Scan Register Allocation", TOPLAS 21(5), 1999).  Every temp slot,
+and every entry slot of more than one term, gets a register, which returns
+to a free list after the last op that reads it; outputs stay live to the
+end.  An entry slot is bound just before its first use, not up front, as
+0.0 plus each term in stored order.  0.0 plus its first term is read from
+the call's first-term table, which holds 0.0 + c h for every h column and
+each tag c the plan uses: 0.0 + h or 0.0 - h for c = +-1 (IEEE defines
+a - b as a + (-b), signed zeros included), h times c then 0.0 plus that
+for c = +-1/sqrt(2), one or two ufuncs per tag over all columns, the same
+operands in the same order as binding the term on its own.  No step
+writes a table row and none is freed, so a one-term entry costs no step
+and no register.  Each further term is one ADD or SUB of its h column
+into the running sum, or a MUL by the tag and then an ADD.  Plan constants
+are NumPy float64 scalars, handed to the ufuncs as 0-d arrays.  Each call
+copies h and ycheck into C-contiguous (n, *batch) column arrays, allocates
+one float64 block for the first-term table's rows and the
+``Schedule.registers`` registers, and runs every step as one NumPy ufunc
+writing into its register.  It then copies the 2K outputs into the rows of
+one C-contiguous (2K, *batch) float64 block and returns that block's
+(*batch, 2K) view: the last axis is the strided one, B x 8 bytes apart for
+a (B,) batch, so ``np.ascontiguousarray`` of the result makes a row-major
+copy.  Peak memory is about (registers + n_h x tags) x B x 8 bytes plus
+the inputs, their column copies and the output block.  The outputs are bit
+for bit those of evaluating the ops one by one in program order.
 """
 
 from __future__ import annotations
@@ -270,23 +280,6 @@ class _Builder:
         return self.chain(pos)
 
 
-def _decompose(form: LinForm) -> tuple[bool, tuple[tuple[int, int], ...], int]:
-    """Split a nonzero entry into (root, core, sign), form = sign x core.
-
-    root is True when every term carries the 1/sqrt(2) magnitude; the core
-    then holds bare signs.  Otherwise the core keeps the raw tags and any
-    root-tagged term is scaled inline.  The sign makes the core's first
-    coefficient positive.
-    """
-    sign = 1 if form[0][1] > 0 else -1
-    if all(abs(tag) == 2 for _, tag in form):
-        return True, tuple((i, 1 if tag * sign > 0 else -1)
-                           for i, tag in form), sign
-    if sign < 0:
-        form = tuple((i, -tag) for i, tag in form)
-    return False, form, sign
-
-
 def _emit_core(b: _Builder, core, scale_after: bool) -> int:
     pos, neg = [], []
     for i, coef in core:
@@ -316,17 +309,9 @@ def _level0(b: _Builder, sym: SymbolicLattice) -> tuple[list[int], int]:
 
 def _columns_sparse(b: _Builder, sym: SymbolicLattice, group: bool) -> list[int]:
     ybar = []
-    for j in range(sym.cols):
-        items = [(p, *_decompose(row[j]))
-                 for p, row in enumerate(sym.entries) if row[j]]
-        column_r = bool(items) and all(root for _, root, _, _ in items)
-        # ungrouped (L1) is grouping with one row per group
-        occ: dict[tuple, list[tuple[int, int]]] = {}
-        for p, root, core, sign in items:
-            key = (root and not column_r, core, None if group else p)
-            occ.setdefault(key, []).append((p, sign))
+    for column_r, groups in sym._column_groups[group]:
         prods = []
-        for (scaled, core, _), uses in occ.items():
+        for scaled, core, uses in groups:
             core_slot = _emit_core(b, core, scaled)
             pos, neg = [], []
             for p, sign in uses:
@@ -392,12 +377,14 @@ class _Plan(NamedTuple):
     """A schedule laid out on a register file.
 
     Operands index one per-call table: the n_h h columns, the n_y ycheck
-    columns, ``consts``, then the rows of the register block in reverse, so
-    that register r is operand ~r.  A step is (ufunc, a, b, out), b None
-    for the one-operand kinds, NEG and DIV4.
+    columns, the first-term table (n_h rows per tag of ``_FIRST_TAGS``,
+    filled only for the tags in ``tags``), ``consts``, then the rows of the
+    register block in reverse, so that register r is operand ~r.  A step is
+    (ufunc, a, b, out), b None for the one-operand kinds, NEG and DIV4.
     """
 
     registers: int
+    tags: frozenset[int]
     consts: tuple[np.float64, ...]
     steps: tuple[tuple, ...]
     outputs: tuple[int, ...]
@@ -406,6 +393,20 @@ class _Plan(NamedTuple):
 # The planner's own constants by key; a const slot's key is its slot id.
 _PLAN_CONSTS = {"zero": 0.0,
                 **{f"tag{tag}": v for tag, v in _TAG_VALUES.items()}}
+
+# Each nonzero tag's block of the first-term table, in table order.
+_FIRST_TAGS = {tag: k for k, tag in enumerate(t for t in _TAG_VALUES if t)}
+
+
+def _first_terms(hrows: np.ndarray, tag: int, out: np.ndarray) -> None:
+    """out = 0.0 + tag x h for every h row, with the operands, in the
+    order, of binding one term on its own: 0.0 + h or 0.0 - h for a +-1
+    tag, h times the tag then 0.0 plus that for a +-1/sqrt(2) one."""
+    if abs(tag) == 1:
+        (np.add if tag == 1 else np.subtract)(0.0, hrows, out=out)
+    else:
+        np.multiply(hrows, _TAG_VALUES[tag], out=out)
+        np.add(0.0, out, out=out)
 
 
 def _compile_plan(sched: Schedule) -> _Plan:
@@ -418,8 +419,11 @@ def _compile_plan(sched: Schedule) -> _Plan:
     excepted, and a temp may take a register its own operands free.  An
     entry slot is bound just before the first op that reads it, summed in
     ``evaluate_lattice_batch``'s order: 0.0 plus each term in stored order.
-    One loop binds, frees and allocates inline; after the last op it reads
-    each output once more, so that an output no op writes is bound too.
+    0.0 plus its first term is a row of the first-term table, which no step
+    writes and which is never freed, so a one-term entry costs no step and
+    no register.  One loop binds, frees and allocates inline; after the
+    last op it reads each output once more, so that an output no op writes
+    is bound too.
     """
     ops, slots, n_h = sched.ops, sched.slots, sched.n_h
     end = len(ops)
@@ -430,7 +434,9 @@ def _compile_plan(sched: Schedule) -> _Plan:
     for o in sched.outputs:
         last[o] = end  # past every op, so never freed
     inputs = {"h": (0, n_h), "y": (n_h, sched.n_y)}
-    base = n_h + sched.n_y  # operand of the first constant
+    firsts = n_h + sched.n_y  # operand of the first-term table's first row
+    base = firsts + len(_FIRST_TAGS) * n_h  # operand of the first constant
+    tags: set[int] = set()  # the tags of the first terms read
     consts: dict = {}  # key -> operand, in first-use order
     bound: list[int | None] = [None] * len(slots)  # operand of each slot
     free: list[int] = []
@@ -449,11 +455,15 @@ def _compile_plan(sched: Schedule) -> _Plan:
             s = a if x is None else b
             name, skind, index, recipe, value = slots[s]
             if skind == "entry":
-                r = consts.setdefault("zero", base + len(consts))
+                r = None
                 for i, tag in recipe:
                     if not 0 <= i < n_h:
                         raise RuntimeError(f"slot {name} reads h index {i} "
                                            f"of {n_h}")
+                    if r is None:
+                        r = firsts + _FIRST_TAGS[tag] * n_h + i
+                        tags.add(tag)
+                        continue
                     t = free.pop() if free else (top := top - 1)
                     if abs(tag) == 1:  # r - h is r + (-1.0 * h) exactly
                         steps.append((np.add if tag == 1 else np.subtract,
@@ -465,6 +475,8 @@ def _compile_plan(sched: Schedule) -> _Plan:
                     if r < 0:
                         free.append(r)
                     r = t
+                if r is None:
+                    r = consts.setdefault("zero", base + len(consts))
             elif skind in inputs:
                 first, n = inputs[skind]
                 if not 0 <= index < n:
@@ -495,7 +507,7 @@ def _compile_plan(sched: Schedule) -> _Plan:
         steps.append((spec[0], x, y, out))
     values = tuple(np.float64(_PLAN_CONSTS[key] if type(key) is str
                               else slots[key].value) for key in consts)
-    return _Plan(-top, values, tuple(steps),
+    return _Plan(-top, frozenset(tags), values, tuple(steps),
                  tuple(bound[o] for o in sched.outputs))
 
 
@@ -519,16 +531,31 @@ def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
     _require_real("ycheck", ycheck)
     h = np.asarray(h, dtype=float)
     yv = np.asarray(ycheck, dtype=float)
-    if h.shape[-1] != sched.n_h:
-        raise ValueError(f"h has {h.shape[-1]} coefficients, need {sched.n_h}")
-    if yv.shape[-1] != sched.n_y:
-        raise ValueError(f"ycheck has {yv.shape[-1]} values, need {sched.n_y}")
+    for name, x, n in (("h", h, sched.n_h), ("ycheck", yv, sched.n_y)):
+        if x.shape[-1:] != (n,):
+            raise ValueError(f"{name} has shape {x.shape}, need a last axis "
+                             f"of length {n}")
     plan = sched._plan
     batch = np.broadcast_shapes(h.shape[:-1], yv.shape[:-1])
-    regs = np.empty((plan.registers, *batch))
+    n_h = sched.n_h
+    # the first-term table's rows, then the registers, in one block
+    work = np.empty((len(plan.tags) * n_h + plan.registers, *batch))
+    hcols = _columns(h)
+    table = [*hcols, *_columns(yv)]
+    # h's columns against the whole batch, for a table row per column
+    hrows = hcols.reshape(n_h, *[1] * (len(batch) + 1 - h.ndim),
+                          *h.shape[:-1])
+    row = 0
+    for tag in _FIRST_TAGS:
+        if tag in plan.tags:
+            _first_terms(hrows, tag, work[row:row + n_h])
+            table += [work[r, ...] for r in range(row, row + n_h)]
+            row += n_h
+        else:
+            table += [None] * n_h
     # a 0-d array operand costs a ufunc less than a scalar one
-    table = [*_columns(h), *_columns(yv), *map(np.asarray, plan.consts),
-             *[regs[r, ...] for r in range(plan.registers - 1, -1, -1)]]
+    table += [*map(np.asarray, plan.consts),
+              *[work[r, ...] for r in range(len(work) - 1, row - 1, -1)]]
     for f, a, b, out in plan.steps:
         if b is None:
             f(table[a], table[out])

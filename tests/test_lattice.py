@@ -108,6 +108,19 @@ def test_unvectorize_round_trip():
     np.testing.assert_array_equal(vectorize_received(H), h)
 
 
+@pytest.mark.parametrize("v, rows, match", [
+    # 3 complex values do not fill whole columns of 2 rows
+    (np.ones(6), 2, "^v holds 3 complex values, not a multiple of rows = 2$"),
+    # 2 // 0 would raise ZeroDivisionError
+    (np.ones(4), 0, "^rows must be >= 1, got 0$"),
+    # the view would drop the imaginary parts with a ComplexWarning
+    (np.array([1 + 2j, 3, 4, 5]), 1, "^v is complex; .*vectorize_received"),
+], ids=["ragged", "zero-rows", "complex"])
+def test_unvectorize_rejects_bad_input(v, rows, match):
+    with pytest.raises(ValueError, match=match):
+        unvectorize(v, rows)
+
+
 def test_vectorize_received_example():
     y = np.array([[1 + 2j], [3 + 4j]])
     np.testing.assert_array_equal(vectorize_received(y), [1, 2, 3, 4])
@@ -400,6 +413,12 @@ def test_channel_sigma_rejects_complex_h():
     with pytest.raises(ValueError, match="^h is complex; "
                                          ".*vectorize_received"):
         channel_sigma(get_code("g2"), np.ones(4) + 1j)
+
+
+def test_channel_sigma_of_integer_h_does_not_wrap():
+    # in int64, (2**62)**2 wraps to 0
+    sigma = channel_sigma(get_code("g2"), np.array([2**62, 2**62, 0, 0]))
+    assert sigma == 2.0 ** 125
 
 
 def add_at_oracle(sym, h):

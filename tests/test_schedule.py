@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from code_transforms import signed_twins
 from lattice_ref import linform_value
 from ostbc_lab import schedule
-from ostbc_lab.codes import DispersionCode, builtin_code_ids, get_code
+from ostbc_lab.codes import DispersionCode, builtin_code_ids, get_code, \
+    load_code_file
 from ostbc_lab.lattice import build_check_H, build_symbolic_lattice, \
     channel_sigma, evaluate_lattice_batch, unvectorize
 from ostbc_lab.schedule import (
@@ -331,6 +332,16 @@ def test_execute_rejects_wrong_lengths():
         execute_schedule(sched, np.zeros(4), np.zeros(5))
 
 
+@pytest.mark.parametrize("name", ["h", "ycheck"])
+def test_execute_rejects_0d_input(name):
+    # h.shape[-1] of a 0-d array raises IndexError
+    sched = generate_schedule(get_code("g2"), 1, 1)
+    args = {"h": np.zeros(4), "ycheck": np.zeros(4), name: np.float64(1.0)}
+    with pytest.raises(ValueError, match=rf"^{name} has shape \(\), need a "
+                                         "last axis of length 4$"):
+        execute_schedule(sched, **args)
+
+
 def test_execute_rejects_complex_input():
     # np.asarray(..., dtype=float) would keep only the real part
     sched = generate_schedule(get_code("g2"), 1, 2)
@@ -372,11 +383,13 @@ def reference_execute(sched, h, ycheck):
                     axis=-1)
 
 
-@pytest.mark.parametrize("cid", builtin_code_ids())
+# H4's L0 entries have two terms, and their first terms all four tags
+@pytest.mark.parametrize("cid", [*builtin_code_ids(), "h4"])
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("level", LEVELS)
 def test_execute_bitwise_equals_reference(cid, m, level):
-    code = get_code(cid)
+    code = load_code_file(Path(__file__).with_name("h4.code")) \
+        if cid == "h4" else get_code(cid)
     sched = generate_schedule(code, m, level)
     rng = np.random.default_rng([m, level, len(cid), ord(cid[-1])])
     hb = rng.standard_normal((33, sched.n_h))
@@ -399,6 +412,31 @@ def test_execute_bitwise_equals_reference(cid, m, level):
         assert got.tobytes() == want.tobytes()
 
 
+def test_entries_sharing_a_first_term_keep_its_table_row():
+    # e1 and e2 both start with +h1, so both read one row of the first-term
+    # table; e1's last reader comes before e2 is bound, and its t1 would be
+    # written over that row if the row were freed with e1
+    slots = (Slot("e1_1", "entry", recipe=((0, 1),)),
+             Slot("e2_1", "entry", recipe=((0, 1), (1, -1))),
+             Slot("y1", "y", index=0), Slot("t1", "temp"), Slot("t2", "temp"),
+             Slot("t3", "temp"), Slot("t4", "temp"))
+    sched = Schedule(code_id="x", m=1, level=0, n_h=2, n_y=1, slots=slots,
+                     ops=(Op("MUL", 3, (0, 2)), Op("MUL", 4, (2, 3)),
+                          Op("MUL", 5, (1, 2)), Op("ADD", 6, (4, 5))),
+                     outputs=(3, 6), sigma_slot=0, sigma_inv_slot=0)
+    plan = sched._plan
+    row = sched.n_h + sched.n_y + schedule._FIRST_TAGS[1] * sched.n_h
+    assert plan.tags == {1}
+    assert len(plan.steps) == len(sched.ops) + 1  # e2's SUB of h2 only
+    assert sum(row in (a, b) for _, a, b, _ in plan.steps) == 2
+    assert all(out < 0 for *_, out in plan.steps)  # registers only
+    h = np.array([[-0.0, 2.0], [3.0, -0.0], [np.inf, 1.0], [-0.0, -0.0]])
+    y = np.array([[5.0], [-0.0], [2.0], [7.0]])
+    got = execute_schedule(sched, h, y)
+    assert got.tobytes() == reference_execute(sched, h, y).tobytes()
+    np.testing.assert_array_equal(got[0], [0.0, -2.0 * 5.0 + 0.0])
+
+
 def test_execute_returns_a_view_of_the_output_block():
     # each output is a contiguous row of one (2K, *batch) block
     sched = generate_schedule(get_code("g4"), 2, 2)
@@ -414,13 +452,16 @@ def test_execute_returns_a_view_of_the_output_block():
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("level", LEVELS)
 def test_plan_steps(cid, m, level):
-    # one step per op, and an entry binds as 0.0 plus each term: one ADD or
-    # SUB per +-1 term, a MUL by the tag and an ADD per +-1/sqrt(2) term
+    # one step per op, and an entry binds as 0.0 plus each term: its first
+    # term is a row of the first-term table, no step, and each later term
+    # is one ADD or SUB if +-1, a MUL by the tag and an ADD if +-1/sqrt(2)
     sched = generate_schedule(get_code(cid), m, level)
     terms = [abs(tag) for slot in sched.slots if slot.kind == "entry"
              for _, tag in slot.recipe]
+    later = [abs(tag) for slot in sched.slots if slot.kind == "entry"
+             for _, tag in slot.recipe[1:]]
     assert len(sched._plan.steps) == \
-        len(sched.ops) + terms.count(1) + 2 * terms.count(2)
+        len(sched.ops) + later.count(1) + 2 * later.count(2)
     assert len(terms) == terms.count(1) + terms.count(2)
     assert all(type(c) is np.float64 for c in sched._plan.consts)
 
@@ -530,10 +571,10 @@ def test_readme_library_example():
 
 # Rows of the register block per built-in code at m = 1 and 2, L0..L2.
 REGISTERS = {
-    "g2": ((11, 8, 8), (19, 12, 12)),
-    "g3": ((35, 19, 14), (63, 31, 20)),
-    "g4": ((39, 23, 16), (71, 39, 24)),
-    "h3": ((20, 14, 12), (34, 22, 18)),
+    "g2": ((8, 8, 8), (12, 12, 12)),
+    "g3": ((24, 19, 14), (40, 31, 20)),
+    "g4": ((24, 23, 16), (40, 39, 24)),
+    "h3": ((14, 14, 12), (22, 22, 18)),
 }
 
 
@@ -546,9 +587,9 @@ def test_register_counts(cid):
 
 
 def test_execute_traced_peak():
-    # 71 registers x 4096 trials x 8 bytes = 2.3 MB, plus the column copies
-    # of h and ycheck and the output: 4.2 MB measured.  Holding every slot
-    # to the end took 27.6 MB.
+    # 40 registers and two 16-row first-term tag blocks x 4096 trials x 8
+    # bytes = 2.4 MB, plus the column copies of h and ycheck and the
+    # output: 4.2 MB measured.  Holding every slot to the end took 27.6 MB.
     code = get_code("g4")
     sched = generate_schedule(code, 2, 0)
     rng = np.random.default_rng(3)
