@@ -247,8 +247,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_snr(argv: list[str]) -> list[str]:
+    """argv with each ``--snr V`` whose V starts with '-' as ``--snr=V``
+    (``--sn``, its one abbreviation, too): argparse takes a value such as
+    -5,0, which is not a plain number, for an option, and would refuse
+    --snr for want of its value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--sn", "--snr") and arg.startswith("-"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_snr(argv))
     _echo_config(args)
     try:
         return args.func(args)

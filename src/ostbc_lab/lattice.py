@@ -155,6 +155,17 @@ class SymbolicLattice:
                     for (scaled, core, _), uses in occ.items())))
         return tuple(map(tuple, levels))
 
+    @cached_property
+    def _entry_slots(self) -> tuple:
+        """Each column's entry slots for the schedule's L0, in row order:
+        ``schedule.Slot`` e<p+1>_<j+1> of entry (p, j), its linear form the
+        recipe.  Cached on the instance, as ``_terms`` is, so that every L0
+        schedule of this lattice shares them."""
+        from .schedule import Slot  # schedule imports this module
+        return tuple(tuple(Slot(f"e{p + 1}_{j + 1}", "entry", recipe=row[j])
+                           for p, row in enumerate(self.entries))
+                     for j in range(self.cols))
+
 
 def _decompose(form: LinForm) -> tuple[bool, tuple[tuple[int, int], ...], int]:
     """Split a nonzero entry into (root, core, sign), form = sign x core.

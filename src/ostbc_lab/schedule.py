@@ -33,39 +33,45 @@ raises the same error when counted.
 Representation: ``Op`` and ``Slot`` are ``typing.NamedTuple``s, immutable
 and hashable; derive a changed copy with ``op._replace(...)``, since
 ``dataclasses.replace`` does not accept them.  The builder makes one ``Op``
-per emitted op and one ``Slot`` per input, constant and entry, each built
-straight from ``tuple.__new__``; one method appends a single op and one a
-whole ADD chain.  Temp slots are shared value objects: temp t<k> is the same
-``Slot`` in every schedule, so the builder appends the module's k-th temp
-instead of making one per op.  ``Schedule`` is a frozen dataclass holding
-tuples of them.
+per emitted op, built straight from ``tuple.__new__``; one method appends a
+single op and one a whole ADD chain.  Slots are shared value objects, made
+once and appended by every schedule that uses them: temp t<k>, input h<i>
+and y<i> are the module's own, a constant is the module's for its name and
+value (sign of zero included), and the entry slots of L0 are cached on the
+symbolic lattice (``_entry_slots``).  ``Schedule`` is a frozen dataclass
+holding tuples of them.
 
 Execution: on its first ``execute_schedule`` a schedule is compiled once
 into a register plan by a linear scan over its ops (Poletto & Sarkar,
-"Linear Scan Register Allocation", TOPLAS 21(5), 1999).  Every temp slot,
-and every entry slot of more than one term, gets a register, which returns
-to a free list after the last op that reads it; outputs stay live to the
-end.  An entry slot is bound just before its first use, not up front, as
-0.0 plus each term in stored order.  0.0 plus its first term is read from
-the call's first-term table, which holds 0.0 + c h for every h column and
-each tag c the plan uses: 0.0 + h or 0.0 - h for c = +-1 (IEEE defines
-a - b as a + (-b), signed zeros included), h times c then 0.0 plus that
-for c = +-1/sqrt(2), one or two ufuncs per tag over all columns, the same
-operands in the same order as binding the term on its own.  No step
+"Linear Scan Register Allocation", TOPLAS 21(5), 1999).  The plan's steps
+are one flat tuple, four fields a step: ufunc, two operands (the second
+None for NEG and DIV4) and the destination.  An op that writes an output
+writes straight into that output's row of the result block; every other
+temp slot, and every entry slot of more than one term, gets a register,
+which returns to a free list after the last op that reads it.  An entry
+slot is bound just before its first use, not up front, as 0.0 plus each
+term in stored order.  0.0 plus its first term is read from the call's
+first-term table, which holds 0.0 + c h for each (tag c, h column) that
+some entry starts with: 0.0 + h or 0.0 - h for c = +-1 (IEEE defines a - b
+as a + (-b), signed zeros included), h times c then 0.0 plus that for
+c = +-1/sqrt(2), one or two ufuncs per run of adjacent columns (one run per
+tag when, as in g2, g3 and g4, a tag starts entries in every column), the
+same operands in the same order as binding the term on its own.  No step
 writes a table row and none is freed, so a one-term entry costs no step
 and no register.  Each further term is one ADD or SUB of its h column
 into the running sum, or a MUL by the tag and then an ADD.  Plan constants
 are NumPy float64 scalars, handed to the ufuncs as 0-d arrays.  Each call
 copies h and ycheck into C-contiguous (n, *batch) column arrays, allocates
-one float64 block for the first-term table's rows and the
-``Schedule.registers`` registers, and runs every step as one NumPy ufunc
-writing into its register.  It then copies the 2K outputs into the rows of
-one C-contiguous (2K, *batch) float64 block and returns that block's
-(*batch, 2K) view: the last axis is the strided one, B x 8 bytes apart for
-a (B,) batch, so ``np.ascontiguousarray`` of the result makes a row-major
-copy.  Peak memory is about (registers + n_h x tags) x B x 8 bytes plus
-the inputs, their column copies and the output block.  The outputs are bit
-for bit those of evaluating the ops one by one in program order.
+the C-contiguous (2K, *batch) float64 result block and one float64 block
+for the table's rows and the ``Schedule.registers`` registers, and runs
+every step as one NumPy ufunc writing into its register or output row.  An
+output that no op writes into its row (an input, an entry, a slot listed
+twice) is copied there at the end.  It returns the block's (*batch, 2K)
+view: the last axis is the strided one, B x 8 bytes apart for a (B,)
+batch, so ``np.ascontiguousarray`` of the result makes a row-major copy.
+Peak memory is about (registers + table rows + 2K) x B x 8 bytes plus the
+inputs and their column copies.  The outputs are bit for bit those of
+evaluating the ops one by one in program order.
 """
 
 from __future__ import annotations
@@ -175,24 +181,34 @@ def _coerce_level(level) -> int:
     return level
 
 
-# Op and Slot without the NamedTuple's Python-level __new__: the builder
-# makes one Op per emitted op and one Slot per input, constant and entry, and
-# this makes the same tuple in about 60% of the time.
+# Op without the NamedTuple's Python-level __new__: the builder makes one
+# Op per emitted op, and this makes the same tuple in about 60% of the time.
 _new_op = partial(tuple.__new__, Op)
-_new_slot = partial(tuple.__new__, Slot)
 
-# _TEMPS[k] is temp slot t<k+1>.  A temp slot holds no value of its own, so
-# every schedule shares these objects; the list grows under the lock so that
-# builders on several threads cannot misnumber it.
+# Shared slots.  A temp, h or y slot holds no value of its own, so every
+# schedule shares these objects: _TEMPS[k] is temp t<k+1> and _INPUTS["h"][i]
+# is h<i+1>.  Each list grows under the lock so that builders on several
+# threads cannot misnumber it.  _CONSTS holds each constant slot by its name
+# and its value's hex form, which keeps 0.0 and -0.0 apart.
 _TEMPS: list[Slot] = []
-_TEMPS_LOCK = threading.Lock()
+_INPUTS: dict[str, list[Slot]] = {"h": [], "y": []}
+_CONSTS: dict[tuple[str, str], Slot] = {}
+_SHARED_LOCK = threading.Lock()
 
 
 def _temp(k: int) -> Slot:
-    with _TEMPS_LOCK:
+    with _SHARED_LOCK:
         while len(_TEMPS) <= k:
             _TEMPS.append(Slot(f"t{len(_TEMPS) + 1}", "temp"))
     return _TEMPS[k]
+
+
+def _input(kind: str, i: int) -> Slot:
+    slots = _INPUTS[kind]
+    with _SHARED_LOCK:
+        while len(slots) <= i:
+            slots.append(Slot(f"{kind}{len(slots) + 1}", kind, len(slots)))
+    return slots[i]
 
 
 class _Builder:
@@ -214,27 +230,23 @@ class _Builder:
         sid = self._h.get(i)
         if sid is None:
             sid = self._h[i] = len(self.slots)
-            self.slots.append(_new_slot((f"h{i + 1}", "h", i, None, 0.0)))
+            self.slots.append(_input("h", i))
         return sid
 
     def y(self, i: int) -> int:
         sid = self._y.get(i)
         if sid is None:
             sid = self._y[i] = len(self.slots)
-            self.slots.append(_new_slot((f"y{i + 1}", "y", i, None, 0.0)))
+            self.slots.append(_input("y", i))
         return sid
-
-    def entry(self, p: int, j: int, form: LinForm) -> int:
-        """A new entry slot: each (p, j) is asked for once."""
-        self.slots.append(_new_slot((f"e{p + 1}_{j + 1}", "entry", -1, form,
-                                     0.0)))
-        return len(self.slots) - 1
 
     def const(self, name: str, value: float) -> int:
         sid = self._consts.get(name)
         if sid is None:
             sid = self._consts[name] = len(self.slots)
-            self.slots.append(_new_slot((name, "const", -1, None, value)))
+            key = (name, value.hex())
+            self.slots.append(_CONSTS.get(key) or _CONSTS.setdefault(
+                key, Slot(name, "const", value=value)))
         return sid
 
     def rsqrt2(self) -> int:
@@ -294,12 +306,14 @@ def _emit_core(b: _Builder, core, scale_after: bool) -> int:
 
 
 def _level0(b: _Builder, sym: SymbolicLattice) -> tuple[list[int], int]:
-    """Dense columns, then sigma from the first column's entries."""
-    ybar, first = [], []
-    for j in range(sym.cols):
+    """Dense columns, then sigma from the first column's entries.  The entry
+    slots are the lattice's own, shared by its every L0 schedule."""
+    slots, ybar, first = b.slots, [], []
+    for j, column in enumerate(sym._entry_slots):
         prods = []
-        for p in range(sym.rows):
-            e = b.entry(p, j, sym.entries[p][j])
+        for p, slot in enumerate(column):
+            e = len(slots)
+            slots.append(slot)
             if j == 0:
                 first.append(e)
             prods.append(b.emit("MUL", e, b.y(p)))
@@ -377,17 +391,21 @@ class _Plan(NamedTuple):
     """A schedule laid out on a register file.
 
     Operands index one per-call table: the n_h h columns, the n_y ycheck
-    columns, the first-term table (n_h rows per tag of ``_FIRST_TAGS``,
-    filled only for the tags in ``tags``), ``consts``, then the rows of the
-    register block in reverse, so that register r is operand ~r.  A step is
-    (ufunc, a, b, out), b None for the one-operand kinds, NEG and DIV4.
+    columns, the first-term table (n_h rows per tag of ``_FIRST_TAGS``, of
+    which only the runs in ``firsts`` are built), the rows of the output
+    block, ``consts``, then the rows of the register block in reverse, so
+    that register r is operand ~r.  A run (tag, lo, hi) is the tag's rows
+    for h columns lo to hi - 1.  ``steps`` is flat, four fields a step:
+    ufunc, a, b, out, b None for the one-operand kinds, NEG and DIV4.
+    ``copies`` holds the (row, operand) of each output that no op writes
+    into its row of the output block.
     """
 
     registers: int
-    tags: frozenset[int]
+    firsts: tuple[tuple[int, int, int], ...]
     consts: tuple[np.float64, ...]
-    steps: tuple[tuple, ...]
-    outputs: tuple[int, ...]
+    steps: tuple
+    copies: tuple[tuple[int, int], ...]
 
 
 # The planner's own constants by key; a const slot's key is its slot id.
@@ -416,34 +434,40 @@ def _compile_plan(sched: Schedule) -> _Plan:
     list, the last freed first, else it is one below the lowest taken so
     far, and the plan's register count is minus the lowest one taken.  A
     slot's register is freed after the last op that reads it, outputs
-    excepted, and a temp may take a register its own operands free.  An
-    entry slot is bound just before the first op that reads it, summed in
-    ``evaluate_lattice_batch``'s order: 0.0 plus each term in stored order.
-    0.0 plus its first term is a row of the first-term table, which no step
-    writes and which is never freed, so a one-term entry costs no step and
-    no register.  One loop binds, frees and allocates inline; after the
-    last op it reads each output once more, so that an output no op writes
-    is bound too.
+    excepted, and a temp may take a register its own operands free.  An op
+    that writes an output writes its first row of the output block instead,
+    which is never freed.  An entry slot is bound just before the first op
+    that reads it, summed in ``evaluate_lattice_batch``'s order: 0.0 plus
+    each term in stored order.  0.0 plus its first term is a row of the
+    first-term table, which no step writes and which is never freed, so a
+    one-term entry costs no step and no register; only the rows read are
+    built.  One loop binds, frees and allocates inline; after the last op it
+    reads each output once more, so that an output no op writes is bound
+    too, and copied into its row.
     """
-    ops, slots, n_h = sched.ops, sched.slots, sched.n_h
+    ops, slots, n_h, outputs = sched.ops, sched.slots, sched.n_h, \
+        sched.outputs
     end = len(ops)
     last = [end] * len(slots)  # index of the op that reads a slot last
     for k, op in enumerate(ops):
         for a in op.args:
             last[a] = k
-    for o in sched.outputs:
-        last[o] = end  # past every op, so never freed
     inputs = {"h": (0, n_h), "y": (n_h, sched.n_y)}
     firsts = n_h + sched.n_y  # operand of the first-term table's first row
-    base = firsts + len(_FIRST_TAGS) * n_h  # operand of the first constant
-    tags: set[int] = set()  # the tags of the first terms read
+    rows = firsts + len(_FIRST_TAGS) * n_h  # operand of the output block
+    base = rows + len(outputs)  # operand of the first constant
+    home: list[int | None] = [None] * len(slots)  # output row of a slot
+    for j in range(len(outputs) - 1, -1, -1):  # its first listing last
+        home[outputs[j]] = rows + j
+        last[outputs[j]] = end  # past every op, so never freed
+    read: set[int] = set()  # the first-term rows read
     consts: dict = {}  # key -> operand, in first-use order
     bound: list[int | None] = [None] * len(slots)  # operand of each slot
     free: list[int] = []
-    steps: list[tuple] = []
+    steps: list = []
     top = 0  # the lowest register taken
     for k, (kind, dst, args) in enumerate(
-            (*ops, *[(None, -1, (o,)) for o in sched.outputs])):
+            (*ops, *[(None, -1, (o,)) for o in outputs])):
         spec = _KINDS.get(kind)
         if (spec is None or spec[1] != len(args)) and k < end:
             raise _unknown_op(kind, args)
@@ -462,16 +486,16 @@ def _compile_plan(sched: Schedule) -> _Plan:
                                            f"of {n_h}")
                     if r is None:
                         r = firsts + _FIRST_TAGS[tag] * n_h + i
-                        tags.add(tag)
+                        read.add(r)
                         continue
                     t = free.pop() if free else (top := top - 1)
                     if abs(tag) == 1:  # r - h is r + (-1.0 * h) exactly
-                        steps.append((np.add if tag == 1 else np.subtract,
-                                      r, i, t))
+                        steps += (np.add if tag == 1 else np.subtract,
+                                  r, i, t)
                     else:
-                        steps.append((np.multiply, i, consts.setdefault(
-                            f"tag{tag}", base + len(consts)), t))
-                        steps.append((np.add, r, t, t))
+                        steps += (np.multiply, i, consts.setdefault(
+                            f"tag{tag}", base + len(consts)), t,
+                                  np.add, r, t, t)
                     if r < 0:
                         free.append(r)
                     r = t
@@ -503,12 +527,24 @@ def _compile_plan(sched: Schedule) -> _Plan:
             last[a] = end
             if x < 0:
                 free.append(x)
-        bound[dst] = out = free.pop() if free else (top := top - 1)
-        steps.append((spec[0], x, y, out))
+        out = home[dst]
+        if out is None:
+            out = free.pop() if free else (top := top - 1)
+        bound[dst] = out
+        steps += (spec[0], x, y, out)
+    tags = tuple(_FIRST_TAGS)
+    runs: list[list[int]] = []  # [tag, lo, hi] of the first-term rows read
+    for r in sorted(read):
+        k, i = divmod(r - firsts, n_h)
+        if runs and runs[-1][0] == tags[k] and runs[-1][2] == i:
+            runs[-1][2] += 1
+        else:
+            runs.append([tags[k], i, i + 1])
     values = tuple(np.float64(_PLAN_CONSTS[key] if type(key) is str
                               else slots[key].value) for key in consts)
-    return _Plan(-top, frozenset(tags), values, tuple(steps),
-                 tuple(bound[o] for o in sched.outputs))
+    return _Plan(-top, tuple(map(tuple, runs)), values, tuple(steps),
+                 tuple((j, bound[o]) for j, o in enumerate(outputs)
+                       if bound[o] != rows + j))
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -538,31 +574,34 @@ def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
     plan = sched._plan
     batch = np.broadcast_shapes(h.shape[:-1], yv.shape[:-1])
     n_h = sched.n_h
+    firsts = n_h + sched.n_y
+    built = sum(hi - lo for _, lo, hi in plan.firsts)
+    block = np.empty((len(sched.outputs), *batch))
     # the first-term table's rows, then the registers, in one block
-    work = np.empty((len(plan.tags) * n_h + plan.registers, *batch))
+    work = np.empty((built + plan.registers, *batch))
     hcols = _columns(h)
-    table = [*hcols, *_columns(yv)]
+    table = [*hcols, *_columns(yv), *[None] * (len(_FIRST_TAGS) * n_h)]
     # h's columns against the whole batch, for a table row per column
     hrows = hcols.reshape(n_h, *[1] * (len(batch) + 1 - h.ndim),
                           *h.shape[:-1])
     row = 0
-    for tag in _FIRST_TAGS:
-        if tag in plan.tags:
-            _first_terms(hrows, tag, work[row:row + n_h])
-            table += [work[r, ...] for r in range(row, row + n_h)]
-            row += n_h
-        else:
-            table += [None] * n_h
-    # a 0-d array operand costs a ufunc less than a scalar one
-    table += [*map(np.asarray, plan.consts),
+    for tag, lo, hi in plan.firsts:
+        n = hi - lo
+        _first_terms(hrows[lo:hi], tag, work[row:row + n])
+        at = firsts + _FIRST_TAGS[tag] * n_h + lo
+        table[at:at + n] = [work[r, ...] for r in range(row, row + n)]
+        row += n
+    table += [*[block[j, ...] for j in range(len(block))],
+              # a 0-d array operand costs a ufunc less than a scalar one
+              *map(np.asarray, plan.consts),
               *[work[r, ...] for r in range(len(work) - 1, row - 1, -1)]]
-    for f, a, b, out in plan.steps:
+    steps = iter(plan.steps)
+    for f, a, b, out in zip(steps, steps, steps, steps):
         if b is None:
             f(table[a], table[out])
         else:
             f(table[a], table[b], table[out])
-    block = np.empty((len(plan.outputs), *batch))
-    for j, o in enumerate(plan.outputs):
+    for j, o in plan.copies:
         block[j] = table[o]
     return block.transpose(*range(1, block.ndim), 0)
 

@@ -365,6 +365,39 @@ def test_simulate_rejects_undefined_snr(capsys, tmp_path, snr):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_simulate_snr_list_below_zero(capsys, tmp_path):
+    # argparse reads a value that starts with '-' and is not a plain number
+    # as an option; a list from below 0 dB is still --snr's value
+    base = ["simulate", "--code", "g2", "--mod", "4qam", "--trials", "5"]
+    rc, out, err = run(capsys, *base, "--snr", "-5,0",
+                       "--out", str(tmp_path / "a"))
+    assert rc == 0, err
+    doc = json.loads((tmp_path / "a.json").read_text())
+    assert doc["config"]["snr_db"] == [-5.0, 0.0]
+    rc, out, err = run(capsys, *base, "--sn", "-5,0",
+                       "--out", str(tmp_path / "abbreviated"))
+    assert rc == 0, err
+    assert (tmp_path / "abbreviated.json").read_bytes() == \
+        (tmp_path / "a.json").read_bytes()
+    rc, out, err = run(capsys, *base, "--snr", "-inf,0",
+                       "--out", str(tmp_path / "b"))
+    assert rc == 2
+    assert out == ""
+    assert "snr_db" in err
+    assert not (tmp_path / "b.json").exists()
+    proc = run_python("-m", "ostbc_lab", *base, "--snr", "-5,0",
+                      "--out", str(tmp_path / "c"), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "c.json").read_bytes() == \
+        (tmp_path / "a.json").read_bytes()
+    proc = run_python("-m", "ostbc_lab", *base, "--snr", "-inf,0",
+                      "--out", str(tmp_path / "d"), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "snr_db" in proc.stderr
+    assert not (tmp_path / "d.json").exists()
+
+
 @pytest.mark.parametrize("decoders, match", [
     ("all,bogus", r"unknown decoders \['bogus'\]"),
     ("lattice,lattice", "decoders must not repeat a name"),

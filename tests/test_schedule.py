@@ -383,6 +383,12 @@ def reference_execute(sched, h, ycheck):
                     axis=-1)
 
 
+def plan_steps(plan):
+    """The plan's flat step fields, four at a time: (ufunc, a, b, out)."""
+    assert len(plan.steps) % 4 == 0
+    return list(zip(*[iter(plan.steps)] * 4))
+
+
 # H4's L0 entries have two terms, and their first terms all four tags
 @pytest.mark.parametrize("cid", [*builtin_code_ids(), "h4"])
 @pytest.mark.parametrize("m", [1, 2])
@@ -426,10 +432,17 @@ def test_entries_sharing_a_first_term_keep_its_table_row():
                      outputs=(3, 6), sigma_slot=0, sigma_inv_slot=0)
     plan = sched._plan
     row = sched.n_h + sched.n_y + schedule._FIRST_TAGS[1] * sched.n_h
-    assert plan.tags == {1}
-    assert len(plan.steps) == len(sched.ops) + 1  # e2's SUB of h2 only
-    assert sum(row in (a, b) for _, a, b, _ in plan.steps) == 2
-    assert all(out < 0 for *_, out in plan.steps)  # registers only
+    steps = plan_steps(plan)
+    assert plan.firsts == ((1, 0, 1),)  # the one row read, +h1's
+    assert len(steps) == len(sched.ops) + 1  # e2's SUB of h2 only
+    assert sum(row in (a, b) for _, a, b, _ in steps) == 2
+    # the outputs t1 and t4 are written into their rows of the output block,
+    # after the first-term table; every other step writes a register
+    outs = [out for *_, out in steps]
+    rows = sched.n_h + sched.n_y + len(schedule._FIRST_TAGS) * sched.n_h
+    assert [outs[0], outs[-1]] == [rows, rows + 1]
+    assert all(out < 0 for out in outs[1:-1])
+    assert plan.copies == ()
     h = np.array([[-0.0, 2.0], [3.0, -0.0], [np.inf, 1.0], [-0.0, -0.0]])
     y = np.array([[5.0], [-0.0], [2.0], [7.0]])
     got = execute_schedule(sched, h, y)
@@ -460,29 +473,47 @@ def test_plan_steps(cid, m, level):
              for _, tag in slot.recipe]
     later = [abs(tag) for slot in sched.slots if slot.kind == "entry"
              for _, tag in slot.recipe[1:]]
-    assert len(sched._plan.steps) == \
+    assert len(plan_steps(sched._plan)) == \
         len(sched.ops) + later.count(1) + 2 * later.count(2)
     assert len(terms) == terms.count(1) + terms.count(2)
     assert all(type(c) is np.float64 for c in sched._plan.consts)
+    # one flat tuple of fields, none of them a per-step tuple
+    assert type(sched._plan.steps) is tuple
+    for f, a, b, out in plan_steps(sched._plan):
+        assert isinstance(f, np.ufunc)
+        assert all(type(x) is int for x in (a, out))
+        assert b is None or type(b) is int
 
 
 @pytest.mark.parametrize("cid", builtin_code_ids())
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("level", LEVELS)
 def test_generate_schedule_is_repeatable(cid, m, level):
-    # temp slots are shared between schedules: a second compile must still
-    # give an equal program, named alike
+    # temp, h, y, constant and entry slots are shared between schedules: a
+    # second compile must still give an equal program, named alike
     code = get_code(cid)
     first, second = (generate_schedule(code, m, level) for _ in range(2))
     assert first == second
     assert all(a is b for a, b in zip(first.slots, second.slots)
                if a.kind == "temp")
+    assert all(a is b for a, b in zip(first.slots, second.slots))
     assert dump_schedule(first) == dump_schedule(second)
 
 
+def test_shared_constants_keep_the_sign_of_zero():
+    # 0.0 == -0.0, so a constant shared by value alone would lose its sign
+    plus, minus = schedule._Builder(), schedule._Builder()
+    zero = plus.slots[plus.const("z", 0.0)]
+    negative_zero = minus.slots[minus.const("z", -0.0)]
+    assert np.signbit([zero.value, negative_zero.value]).tolist() == \
+        [False, True]
+    again = schedule._Builder()
+    assert again.slots[again.const("z", -0.0)] is negative_zero
+
+
 def test_shared_temps_grow_consistently_across_threads(monkeypatch):
-    # every builder appends the module's temp slots; threads that grow the
-    # list at once must not misnumber it
+    # every builder appends the module's temp and y slots; threads that
+    # grow the lists at once must not misnumber them
     code = get_code("g4")
     want = generate_schedule(code, 2, 0)
     names = [f"t{k + 1}" for k in range(len(want.ops))]
@@ -491,6 +522,7 @@ def test_shared_temps_grow_consistently_across_threads(monkeypatch):
     try:
         for _ in range(10):
             monkeypatch.setattr(schedule, "_TEMPS", [])
+            monkeypatch.setattr(schedule, "_INPUTS", {"h": [], "y": []})
             start, got = threading.Barrier(6), []
 
             def compile_one():
@@ -506,23 +538,90 @@ def test_shared_temps_grow_consistently_across_threads(monkeypatch):
             assert not any(t.is_alive() for t in threads)
             assert got == [want] * len(threads)
             assert [s.name for s in schedule._TEMPS] == names
+            assert [(s.name, s.index) for s in schedule._INPUTS["y"]] == \
+                [(f"y{i + 1}", i) for i in range(want.n_y)]
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_output_read_by_a_later_op_keeps_its_register():
-    # t2 could otherwise be written over t1 once t1's last reader has run
+    # t2 could otherwise be written over t1 once t1's last reader has run;
+    # both ops write their output's row of the output block, so no register
     slots = (Slot("h1", "h", index=0), Slot("y1", "y", index=0),
              Slot("t1", "temp"), Slot("t2", "temp"))
     sched = Schedule(code_id="x", m=1, level=0, n_h=1, n_y=1, slots=slots,
                      ops=(Op("MUL", 2, (0, 1)), Op("ADD", 3, (1, 2))),
                      outputs=(2, 3), sigma_slot=0, sigma_inv_slot=0)
     h, y = np.array([[2.0], [3.0]]), np.array([[5.0], [7.0]])
-    assert sched.registers == 2
+    assert sched.registers == 0
     np.testing.assert_array_equal(execute_schedule(sched, h, y),
                                   [[10.0, 15.0], [21.0, 28.0]])
     assert execute_schedule(sched, h, y).tobytes() == \
         reference_execute(sched, h, y).tobytes()
+
+
+# Outputs that no op writes into their own row: a slot listed twice (its
+# second row is a copy of its first), an h and a y slot, and an entry that is
+# one first-term row.
+HAND_OUTPUTS = {
+    "listed-twice": ((Slot("h1", "h", index=0), Slot("y1", "y", index=0),
+                      Slot("t1", "temp"), Slot("t2", "temp")),
+                     (Op("MUL", 2, (0, 1)), Op("ADD", 3, (1, 2))),
+                     (2, 3, 2, 3)),
+    "inputs": ((Slot("h1", "h", index=0), Slot("y1", "y", index=0),
+                Slot("t1", "temp")),
+               (Op("MUL", 2, (0, 1)),), (0, 2, 1, 0)),
+    "entry": ((Slot("e1_1", "entry", recipe=((0, -2),)),
+               Slot("y1", "y", index=0), Slot("t1", "temp")),
+              (Op("MUL", 2, (0, 1)),), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", HAND_OUTPUTS)
+def test_outputs_no_op_writes_are_copied(name):
+    slots, ops, outputs = HAND_OUTPUTS[name]
+    sched = Schedule(code_id="x", m=1, level=0, n_h=1, n_y=1, slots=slots,
+                     ops=ops, outputs=outputs, sigma_slot=0,
+                     sigma_inv_slot=0)
+    written = {op.dst for op in ops}
+    first = {o: outputs.index(o) for o in outputs}
+    assert [j for j, _ in sched._plan.copies] == \
+        [j for j, o in enumerate(outputs) if o not in written or first[o] != j]
+    h = np.array([[2.0], [-0.0], [np.inf], [-3.0]])
+    y = np.array([[5.0], [7.0], [-0.0], [np.nan]])
+    for hv, yv in ((h, y), (h[0], y), (h, y[3]), (h[1], y[2])):
+        with np.errstate(invalid="ignore"):  # inf * -0.0
+            got = execute_schedule(sched, hv, yv)
+            want = reference_execute(sched, hv, yv)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cid", [*builtin_code_ids(), "h4"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_first_term_rows_built_are_read(cid, m):
+    # the table builds the runs of rows that some step reads, and only them
+    code = load_code_file(Path(__file__).with_name("h4.code")) \
+        if cid == "h4" else get_code(cid)
+    sched = generate_schedule(code, m, 0)
+    plan, n_h = sched._plan, sched.n_h
+    firsts = n_h + sched.n_y
+    built = [firsts + schedule._FIRST_TAGS[tag] * n_h + i
+             for tag, lo, hi in plan.firsts for i in range(lo, hi)]
+    read = {x for _, a, b, _ in plan_steps(plan) for x in (a, b)}
+    read |= {o for _, o in plan.copies}
+    table = range(firsts, firsts + len(schedule._FIRST_TAGS) * n_h)
+    assert len(set(built)) == len(built)
+    assert set(built) == {x for x in read if x in table}
+    # runs are maximal and in table order
+    assert sorted(built) == built
+    for (t1, _, hi), (t2, lo, _) in zip(plan.firsts, plan.firsts[1:]):
+        assert t1 != t2 or hi < lo
+    if cid in ("g2", "g3", "g4"):
+        # every tag the plan reads it reads in every column: one run a tag
+        assert all((lo, hi) == (0, n_h) for _, lo, hi in plan.firsts)
+    elif cid == "h3":
+        assert len(built) == (18, 36)[m - 1]  # of 24 and 48 rows
 
 
 def test_execute_hand_built_failures():
