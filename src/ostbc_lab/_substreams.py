@@ -17,6 +17,12 @@ Python loop:
   Easy as 1, 2, 3", SC'11) under every key of the block, for counters 1, 2,
   ...: NumPy's bit generator bumps the counter before it fills its 4-word
   buffer.  The 64x64 -> 128-bit products are built from 32-bit halves.
+  Every block starts from the counter (c, 0, 0, 0) under the key
+  (seed, k1), and the seed is the same in every row.  So round 0 has one
+  product, M0 * c, taken for each c as Python ints, and its words 0 and 1
+  are seed and 0 in every row; round 1 multiplies counter word 2 as an
+  array and word 0, the seed, once as an int, so its word 3 is
+  lo(M0 * seed) in every row.  Key word 0 stays an int in every round.
 * Normals follow NumPy's 256-layer ziggurat (Marsaglia & Tsang, JSS 2000):
   a word r gives the layer ``idx = r & 0xff``, the sign bit 8 and the
   52-bit ``rabs = r >> 9``; ``x = rabs * wi[idx]`` is returned at once iff
@@ -38,16 +44,20 @@ at M=1, 52% of g3 rows at M=2.  Those words are then, in order, the channel
 normals, the symbol words and the noise normals.  So the ziggurat's fast
 path runs once over every word of the block, every row is first read by
 column slices of its values, and only the rows with a slow channel or
-noise word there are parsed, from their rows of the same values.  A slow
+noise word there are parsed, from their rows of the same values.  Those
+rows are found by one ``any`` over the lead words' slow flags, viewed four
+to a uint32 word under a mask of the channel and noise columns.  A slow
 symbol word needs no parse: symbols are read from raw words.
 
 The parse works on the few slow words of those rows, its events, rather
-than on every word.  Each event is decoded where it stands (wedge test or
-tail), which fixes how many words its attempt takes and whether it emits.
-Which events start attempts is settled by a few whole-array rounds over the
-events, two to four per block for the built-in codes; each lead slot then
-sits at its column plus the words skipped before it, and one gather reads
-every parsed row's draws.
+than on every word: their flat indices in the parsed rows, split into row
+and column by one ``divmod``, and read by 1-D gathers.  Each event is
+decoded where it stands (wedge test or tail), which fixes how many words
+its attempt takes and whether it emits.  Which events start attempts is
+settled by a few whole-array rounds over the events, two to four per block
+for the built-in codes; each lead slot then sits at its column plus the
+words skipped before it, an integer running sum over the starts' skips,
+and one gather reads every parsed row's draws.
 The sign bit is folded into 512-entry tables indexed by a word's low 9 bits:
 ``rabs * -wi == -(rabs * wi)`` exactly.
 
@@ -77,11 +87,15 @@ __all__ = ["philox_words", "words_per_trial", "draw", "check_key",
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _MASK52 = np.uint64((1 << 52) - 1)
-# Philox4x64: the multipliers of counter words 0 and 2, and the key bumps.
-_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_M_LO, _M_HI = _M & _LO32, _M >> 32
-_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]],
-                 dtype=np.uint64)
+# Philox4x64: the multipliers of counter words 0 and 2, and the bumps of
+# key words 0 and 1.
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_BUMP0, _BUMP1 = 0x9E3779B97F4A7C15, np.uint64(0xBB67AE8584CAA73B)
+# _mulhilo's multiplier columns, (m, m_lo, m_hi): counter words 0 and 2,
+# and counter word 2 alone
+_MUL = np.array([[_M0], [_M1]], dtype=np.uint64)
+_MUL = (_MUL, _MUL & _LO32, _MUL >> 32)
+_MUL2 = tuple(m[1] for m in _MUL)
 _ROUNDS = 10
 # Spare words per trial for the extra word of each slow attempt.
 _SLACK = 8
@@ -94,90 +108,113 @@ _R = 3.6541528853610087963519472518
 _INV_R = 0.27366123732975827203338247596
 
 
-def _mulhilo(a, hi, lo, t, u):
-    """hi, lo <- (high, low) 64-bit halves of the 128-bit products _M * a;
-    t and u are scratch arrays of a's shape."""
+def _mulhilo(a, mul, hi, lo, t, u):
+    """hi, lo <- (high, low) 64-bit halves of the 128-bit products m * a,
+    for the multiplier column mul = (m, m_lo, m_hi); t and u are scratch
+    arrays of a's shape."""
+    m, m_lo, m_hi = mul
     np.bitwise_and(a, _LO32, out=lo)            # a_lo
-    np.multiply(lo, _M_LO, out=t)
+    np.multiply(lo, m_lo, out=t)
     t >>= 32
-    np.multiply(lo, _M_HI, out=u)
+    np.multiply(lo, m_hi, out=u)
     np.right_shift(a, 32, out=hi)               # a_hi
-    np.multiply(hi, _M_LO, out=lo)
-    t += lo                                     # a_hi*M_lo + (a_lo*M_lo >> 32)
-    hi *= _M_HI
+    np.multiply(hi, m_lo, out=lo)
+    t += lo                                     # a_hi*m_lo + (a_lo*m_lo >> 32)
+    hi *= m_hi
     np.bitwise_and(t, _LO32, out=lo)
-    u += lo                                     # a_lo*M_hi + (t & LO32)
+    u += lo                                     # a_lo*m_hi + (t & LO32)
     u >>= 32
     t >>= 32
     hi += t
     hi += u
-    np.multiply(a, _M, out=lo)
-
-
-def _rounds(key, even):
-    """Philox4x64-10 on counter words (0, 2) = `even` and (1, 3) = 0 under
-    `key`, in place on a fixed set of buffers: the final (even, odd)."""
-    odd = np.zeros_like(key)
-    hi, lo, t, u = (np.empty_like(key) for _ in range(4))
-    for r in range(_ROUNDS):
-        if r:
-            key += _BUMP
-        _mulhilo(even, hi, lo, t, u)
-        np.bitwise_xor(hi[::-1], odd, out=even)
-        even ^= key
-        odd, lo = lo[::-1], odd
-    return even, odd
+    np.multiply(a, m, out=lo)
 
 
 def philox_words(seed: int, keys, nblocks: int) -> np.ndarray:
     """First 4*nblocks raw words of Philox4x64-10 under each key
     (seed, keys[i]): row i equals
     ``np.random.Philox(key=[seed, keys[i]]).random_raw(4 * nblocks)``.
+    `seed` must be in [0, 2**64).
 
     Block c of a key starts from the counter (c, 0, 0, 0).  Counter words
-    (0, 2) and (1, 3) are kept as pairs of rows over every (key, block).
+    (0, 2) and (1, 3) are kept as pairs of rows over every (key, block),
+    key word 1 as one such row, and the seed, key word 0, as a Python int.
+    Round 0 gives (seed, 0, H0 ^ k1, L0) from a table of the products
+    (H0, L0) = M0 * c, and round 1 multiplies only counter word 2 as an
+    array: the seed's product is one int.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    key = np.empty((2, keys.shape[0] * nblocks), dtype=np.uint64)
-    key[0], key[1] = seed, np.repeat(keys, nblocks)
-    even = np.zeros_like(key)
-    even[0] = np.tile(np.arange(1, nblocks + 1), keys.shape[0])
-    even, odd = _rounds(key, even)
-    # (pair, key x block) twice -> (key x block, pair, even/odd)
-    words = np.empty((key.shape[1], 2, 2), dtype=np.uint64)
-    words[..., 0], words[..., 1] = even.T, odd.T
-    return words.reshape(keys.shape[0], 4 * nblocks)
+    nkeys = keys.shape[0]
+    even, odd, hi, lo = (np.empty((2, nkeys * nblocks), dtype=np.uint64)
+                         for _ in range(4))
+    # (key x block, pair, even/odd); until the last round's products, its
+    # memory is _mulhilo's scratch
+    words = np.empty((nkeys * nblocks, 2, 2), dtype=np.uint64)
+    t, u = words.reshape(2, 2, -1)
+    k1 = np.repeat(keys, nblocks)
+    h0, l0 = zip(*(divmod(_M0 * c, 2 ** 64) for c in range(1, nblocks + 1)))
+    # round 0: word 2 <- H0(c) ^ k1; words 0, 1 and 3 are seed, 0 and L0(c)
+    np.bitwise_xor(k1.reshape(nkeys, nblocks), np.array(h0, np.uint64),
+                   out=even[1].reshape(nkeys, nblocks))
+    # round 1, under the bumped key: words (0, 1) <- (hi ^ k0, lo) of
+    # M1 * word 2, and words (2, 3) <- (hi ^ L0 ^ k1, lo) of M0 * seed
+    k0 = (seed + _BUMP0) % 2 ** 64
+    k1 += _BUMP1
+    _mulhilo(even[1], _MUL2, hi[1], lo[1], t[1], u[1])
+    np.bitwise_xor(hi[1], k0, out=even[0])
+    hs, ls = divmod(_M0 * seed, 2 ** 64)
+    np.bitwise_xor(k1.reshape(nkeys, nblocks),
+                   np.array(l0, np.uint64) ^ np.uint64(hs),
+                   out=even[1].reshape(nkeys, nblocks))
+    lo[0] = ls
+    odd, lo = lo[::-1], odd
+    for r in range(2, _ROUNDS):
+        k0 = (k0 + _BUMP0) % 2 ** 64
+        k1 += _BUMP1
+        _mulhilo(even, _MUL, hi, lo, t, u)
+        if r == _ROUNDS - 1:
+            even = words[..., 0].T
+        np.bitwise_xor(hi[::-1], odd, out=even)
+        even[0] ^= k0
+        even[1] ^= k1
+        odd, lo = lo[::-1], odd
+    words[..., 1] = odd.T
+    return words.reshape(nkeys, 4 * nblocks)
 
 
 def _ziggurat(words):
     """The ziggurat's fast-path value of each word, +-rabs * wi[idx], and
     whether the word is slow, rabs >= ki[idx]."""
-    # the low 9 bits, layer and sign, are below 2**63: their int64 view is
-    # their value
+    # the low 9 bits, layer and sign, and the 52-bit rabs are below 2**63:
+    # their int64 views are their values
     low = np.bitwise_and(words, 0x1FF).view(np.int64)
     rabs = words >> 9
     rabs &= _MASK52
     slow = rabs >= _KI9[low]
     x = _WI9[low]
-    x *= rabs
+    x *= rabs.view(np.int64)
     return x, slow
 
 
 def _symbols(w, size):
     """integers(0, size, k) from the word that holds each symbol (B, k):
-    Lemire on 32-bit halves, low half first."""
-    odd = np.arange(w.shape[1]) % 2 == 1
-    half = np.where(odd, w >> 32, w & _LO32)
-    return ((half * np.uint64(size)) >> 32).astype(np.intp)
+    Lemire on 32-bit halves, low half first.  For size = 2**b,
+    (u32 * size) >> 32 is the top b bits of the half, so symbol j is the
+    b bits below bit 32 (j even) or bit 64 (j odd) of its word."""
+    top = 32 * (1 + np.arange(w.shape[1], dtype=np.uint64) % 2)
+    sym = w >> (top - np.uint64(int(size).bit_length() - 1))
+    sym &= np.uint64(size - 1)
+    return sym.view(np.intp)
 
 
 def _tail(row, c):
-    """NumPy's tail from the layer-0 slow word row[c]: (value, words taken
-    after it), or None when its uniforms run past the row."""
-    rabs = int(row[c]) >> 9
+    """NumPy's tail from the layer-0 slow word row[c] of a row of Python
+    ints: (value, words taken after it), or None when its uniforms run past
+    the row."""
+    rabs = row[c] >> 9
     for j in range(c + 1, len(row) - 1, 2):
-        xx = -_INV_R * math.log1p(-(int(row[j]) >> 11) * 2.0 ** -53)
-        yy = -math.log1p(-(int(row[j + 1]) >> 11) * 2.0 ** -53)
+        xx = -_INV_R * math.log1p(-(row[j] >> 11) * 2.0 ** -53)
+        yy = -math.log1p(-(row[j + 1] >> 11) * 2.0 ** -53)
         if yy + yy > xx * xx:
             return -(_R + xx) if (rabs >> 8) & 1 else _R + xx, j + 1 - c
     return None
@@ -191,21 +228,25 @@ def _parse(words, x, slow, n_h, k, size, n_noise):
     b, width = words.shape
     sym_words = (k + 1) // 2
     lead = n_h + sym_words + n_noise
-    r, c = np.nonzero(slow)
-    layer = (words[r, c] & 0xFF).astype(np.intp)
+    flat_words, flat_x = words.ravel(), x.ravel()
+    pos = np.flatnonzero(slow)
+    r, c = np.divmod(pos, width)
+    layer = (flat_words[pos] & 0xFF).view(np.intp)
     # A wedge attempt takes the next word as its uniform.
-    u = (words[r, np.minimum(c + 1, width - 1)] >> 11) * 2.0 ** -53
+    u = (flat_words[pos + (c + 1 < width)] >> 11) * 2.0 ** -53
     lhs = (_FI[layer - 1] - _FI[layer]) * u + _FI[layer]
-    xw = x[r, c]
+    xw = flat_x[pos]
     rhs = np.exp(-0.5 * xw * xw)
     emit = lhs < rhs
     extra = np.ones_like(c)
     bad = (c + 1 == width) | (np.abs(lhs - rhs) <= _BAND * rhs)
-    for i in np.flatnonzero(layer == 0):
-        tail = _tail(words[r[i]], c[i])
+    tails = np.flatnonzero(layer == 0)
+    for i, row, col in zip(tails.tolist(), r[tails].tolist(),
+                           c[tails].tolist()):
+        tail = _tail(words[row].tolist(), col)
         emit[i], bad[i] = True, tail is None
         if tail is not None:
-            x[r[i], c[i]], extra[i] = tail
+            flat_x[row * width + col], extra[i] = tail
 
     # An event starts an attempt iff no earlier attempt of its row takes it
     # as an extra word and its lead slot, its column less the words skipped
@@ -235,9 +276,10 @@ def _parse(words, x, slow, n_h, k, size, n_noise):
 
     # Lead slot s sits at column s plus the words skipped before it: an
     # emitting start shifts the slots after its own, a rejected one its own.
-    cols = np.bincount(r[start] * (lead + 1) + q[start] + emit[start],
-                       weights=skips[start], minlength=b * (lead + 1))
-    cols = cols.reshape(b, lead + 1)[:, :lead].cumsum(axis=1).astype(np.intp)
+    cols = np.zeros((b, lead + 1), dtype=np.intp)
+    np.add.at(cols.ravel(), r[start] * (lead + 1) + q[start] + emit[start],
+              skips[start])
+    cols = np.cumsum(cols[:, :lead], axis=1)
     cols += np.arange(lead)
     ok = cols[:, -1] < width
     ok[r[start & bad]] = False
@@ -273,7 +315,11 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
     """
     if size < 1 or size & (size - 1) or size >= 2 ** 32:
         raise ValueError("size must be a power of two below 2**32")
-    trials = np.asarray(trials, dtype=np.uint64)
+    trials = np.asarray(trials)
+    # the block's keys are in the key space iff its extreme trials are
+    for trial in (trials.min(), trials.max()) if trials.size else (0,):
+        check_key(seed, point, int(trial))
+    trials = trials.astype(np.uint64)
     sym_words = (k + 1) // 2
     lead = n_h + sym_words + n_noise
     words = philox_words(seed, np.uint64(point << 32) | trials,
@@ -282,8 +328,12 @@ def draw(seed: int, point: int, trials, n_h: int, k: int, size: int,
     h, noise = x[:, :n_h], x[:, n_h + sym_words:lead]
     sym = _symbols(words[:, n_h + np.arange(k) // 2], size)
     ok = np.ones(len(trials), dtype=bool)
-    slow_rows = np.flatnonzero(slow[:, :n_h].any(axis=1)
-                               | slow[:, n_h + sym_words:lead].any(axis=1))
+    # the flags of the lead words, four to a uint32 word (the row width is
+    # whole Philox blocks), under the channel and noise columns' bytes
+    mask = np.zeros(-(-lead // 4) * 4, dtype=bool)
+    mask[:n_h] = mask[n_h + sym_words:lead] = True
+    lead_flags = slow.view(np.uint32)[:, :mask.size // 4]
+    slow_rows = np.flatnonzero((lead_flags & mask.view(np.uint32)).any(axis=1))
     if slow_rows.size:
         h[slow_rows], sym[slow_rows], noise[slow_rows], ok[slow_rows] = \
             _parse(words[slow_rows], x[slow_rows], slow[slow_rows], n_h, k,

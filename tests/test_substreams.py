@@ -7,9 +7,9 @@ import pytest
 
 from ostbc_lab import _substreams
 from ostbc_lab._substreams import draw_block, draw_trial, trial_rng
-from ostbc_lab.codes import RSQRT2, get_code
+from ostbc_lab.codes import RSQRT2, builtin_code_ids, get_code
 from ostbc_lab.constellation import get_constellation
-from ostbc_lab.sim import _noise_scale
+from ostbc_lab.sim import _block_trials, _draw_dims, _noise_scale
 
 CODES_M = [("g2", 1), ("g3", 2), ("g4", 1), ("h3", 1)]
 
@@ -22,6 +22,7 @@ def raw_key(seed, point, trial):
 
 @pytest.mark.parametrize("seed,point,trial", [
     (0, 0, 0),
+    (2 ** 63, 0, 0),
     (2 ** 64 - 1, 0, 0),
     (0, 2 ** 32 - 1, 0),
     (0, 0, 2 ** 32 - 1),
@@ -29,12 +30,18 @@ def raw_key(seed, point, trial):
     (2026, 7, 12345),
 ])
 def test_philox_words_match_random_raw(seed, point, trial):
+    # rounds 0-1 are taken in closed form from the seed and each block's
+    # counter; at seed 2**64 - 1 the key bump wraps
     key1 = (point << 32) | trial
-    got = _substreams.philox_words(seed, [key1, key1 ^ 1], 5)
-    for row, k in zip(got, (key1, key1 ^ 1)):
-        want = np.random.Philox(key=np.array([seed, k], dtype=np.uint64)) \
-            .random_raw(20)
-        np.testing.assert_array_equal(row, want)
+    for nblocks in (1, 2, 5, 14):
+        for keys in ([key1, key1 ^ 1], [key1]):
+            got = _substreams.philox_words(seed, keys, nblocks)
+            assert got.shape == (len(keys), 4 * nblocks)
+            for row, k in zip(got, keys):
+                want = np.random.Philox(
+                    key=np.array([seed, k], dtype=np.uint64)) \
+                    .random_raw(4 * nblocks)
+                np.testing.assert_array_equal(row, want)
 
 
 @pytest.mark.parametrize("seed,point,trial", [
@@ -50,6 +57,21 @@ def test_trial_rng_rejects_keys_outside_the_key_space(seed, point, trial):
     # raise OverflowError from NumPy
     with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*"):
         trial_rng(seed, point, trial)
+
+
+@pytest.mark.parametrize("seed,point,trials", [
+    (5, 0, [2 ** 32]),
+    (5, 0, [3, -1]),
+    (5, 2 ** 32, [0]),
+    (5, -1, []),
+    (-1, 0, [0]),
+    (2 ** 64, 0, []),
+])
+def test_draw_block_rejects_keys_outside_the_key_space(seed, point, trials):
+    # trial 2**32 of point 0 would alias trial 0 of point 1; the other keys
+    # would raise OverflowError from NumPy or wrap in the seed arithmetic
+    with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*"):
+        draw_block(seed, point, trials, 4, 2, 4, 4)
 
 
 def test_trial_rng_key_space_edges():
@@ -244,6 +266,24 @@ def test_blocks_of_one_path_equal_per_trial_generator(cid, m, slow):
         np.testing.assert_array_equal(h[i], want[i][0])
         np.testing.assert_array_equal(sym[i], want[i][1])
         np.testing.assert_array_equal(noise[i], want[i][2])
+
+
+@pytest.mark.parametrize("cid", builtin_code_ids())
+@pytest.mark.parametrize("m", [1, 2])
+def test_draw_block_at_the_top_seed_equals_per_trial_generator(cid, m):
+    # a whole sweep block at seed 2**64 - 1, where rounds 0-1's key bump
+    # and the seed's product wrap
+    code, size, seed = get_code(cid), 16, 2 ** 64 - 1
+    n_h, k, n_noise = _draw_dims(code, m)
+    trials = np.arange(2 ** 32 - _block_trials(code, m), 2 ** 32)
+    h, sym, noise, redraws = draw_block(seed, 9, trials, n_h, k, size,
+                                        n_noise)
+    assert redraws == 0
+    for i, t in enumerate(trials):
+        want = draw_trial(trial_rng(seed, 9, int(t)), n_h, k, size, n_noise)
+        np.testing.assert_array_equal(h[i], want[0])
+        np.testing.assert_array_equal(sym[i], want[1])
+        np.testing.assert_array_equal(noise[i], want[2])
 
 
 def test_draw_rejects_sizes_off_the_lemire_path():
