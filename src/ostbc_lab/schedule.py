@@ -64,18 +64,25 @@ are NumPy float64 scalars, handed to the ufuncs as 0-d arrays.  Each call
 copies h and ycheck into C-contiguous (n, *batch) column arrays, allocates
 the C-contiguous (2K, *batch) float64 result block and one float64 block
 for the table's rows and the ``Schedule.registers`` registers, and runs
-every step as one NumPy ufunc writing into its register or output row.  An
-output that no op writes into its row (an input, an entry, a slot listed
-twice) is copied there at the end.  It returns the block's (*batch, 2K)
-view: the last axis is the strided one, B x 8 bytes apart for a (B,)
-batch, so ``np.ascontiguousarray`` of the result makes a row-major copy.
-Peak memory is about (registers + table rows + 2K) x B x 8 bytes plus the
-inputs and their column copies.  The outputs are bit for bit those of
-evaluating the ops one by one in program order.
+every step as one NumPy ufunc writing into its register or output row.
+Every table and register row starts on a 64-byte boundary
+(``_aligned_rows``): NumPy places a large block wherever the heap puts it,
+often 16 bytes past a cache line, and a row that starts off a line splits
+one on every 512-bit load and store, which made the steps about a fifth
+slower.  An output that no op writes into its row (an input, an entry, a
+slot listed twice) is copied there at the end.  It returns the block's
+(*batch, 2K) view: the last axis is the strided one, B x 8 bytes apart for
+a (B,) batch, so ``np.ascontiguousarray`` of the result makes a row-major
+copy.  Peak memory is about (registers + table rows) x (B + 7) x 8 bytes,
+at most 7 floats of alignment padding a row and none when B is a multiple
+of 8, plus 2K x B x 8 bytes of output, the inputs and their column copies.
+The outputs are bit for bit those of evaluating the ops one by one in
+program order.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -554,6 +561,24 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return cols
 
 
+# A cache line, and one 512-bit vector: a float64 row that starts off such a
+# boundary splits a line on every full-width load and store.
+_ALIGN = 64
+
+
+def _aligned_rows(rows: int, batch: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 (rows, *batch) array, each row C-contiguous
+    and starting on an _ALIGN-byte boundary: the rows' stride is the batch
+    size rounded up to a multiple of 8 floats, and the block over-allocates
+    by at most 7 floats to find its first aligned address."""
+    per = _ALIGN // 8
+    stride = -(-math.prod(batch) // per) * per
+    flat = np.empty(rows * stride + per - 1)
+    inner = [8 * math.prod(batch[i + 1:]) for i in range(len(batch))]
+    return np.ndarray((rows, *batch), float, flat,
+                      -flat.ctypes.data % _ALIGN, (8 * stride, *inner))
+
+
 def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
     """Run the program on channel coefficients h and received ycheck.
 
@@ -561,7 +586,10 @@ def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
     other, e.g. (2MN,) or (B, 2MN) h with (2MT,) or (B, 2MT) ycheck.  Both
     must be real; ``lattice.vectorize_received`` interleaves complex values.
     The result is the (*batch, 2K) view of a C-contiguous (2K, *batch)
-    block.
+    block.  The first-term table and the registers are the rows of one
+    work block, each starting on a 64-byte boundary, so that no 512-bit
+    load or store of a step splits a cache line; when the batch size is not
+    a multiple of 8, each row carries up to 7 floats of padding.
     """
     _require_real("h", h)
     _require_real("ycheck", ycheck)
@@ -572,13 +600,18 @@ def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
             raise ValueError(f"{name} has shape {x.shape}, need a last axis "
                              f"of length {n}")
     plan = sched._plan
-    batch = np.broadcast_shapes(h.shape[:-1], yv.shape[:-1])
+    try:
+        batch = np.broadcast_shapes(h.shape[:-1], yv.shape[:-1])
+    except ValueError:
+        raise ValueError(f"h has shape {h.shape} and ycheck has shape "
+                         f"{yv.shape}, need batch axes that broadcast "
+                         f"together") from None
     n_h = sched.n_h
     firsts = n_h + sched.n_y
     built = sum(hi - lo for _, lo, hi in plan.firsts)
     block = np.empty((len(sched.outputs), *batch))
     # the first-term table's rows, then the registers, in one block
-    work = np.empty((built + plan.registers, *batch))
+    work = _aligned_rows(built + plan.registers, batch)
     hcols = _columns(h)
     table = [*hcols, *_columns(yv), *[None] * (len(_FIRST_TAGS) * n_h)]
     # h's columns against the whole batch, for a table row per column

@@ -332,6 +332,16 @@ def test_execute_rejects_wrong_lengths():
         execute_schedule(sched, np.zeros(4), np.zeros(5))
 
 
+def test_execute_rejects_batches_that_do_not_broadcast():
+    # NumPy's own message names neither argument
+    sched = generate_schedule(get_code("g2"), 1, 1)
+    with pytest.raises(ValueError, match=r"^h has shape \(2, 4\) and ycheck "
+                                         r"has shape \(3, 4\), need batch "
+                                         "axes that broadcast together$"):
+        execute_schedule(sched, np.zeros((2, sched.n_h)),
+                         np.zeros((3, sched.n_y)))
+
+
 @pytest.mark.parametrize("name", ["h", "ycheck"])
 def test_execute_rejects_0d_input(name):
     # h.shape[-1] of a 0-d array raises IndexError
@@ -404,18 +414,49 @@ def test_execute_bitwise_equals_reference(cid, m, level):
     hb[0, 1::4] = np.inf  # and so do infinities, and the NaNs they make
     hb[0, 3::4] = -np.inf
     yb[0] = -0.0
+    # batch sizes that are not a multiple of 8 pad the work block's rows
+    hp = rng.standard_normal((4095, sched.n_h))
+    yp = rng.standard_normal((4095, sched.n_y))
+    hp[0], yp[0] = hb[0], yb[0]
     # one vector against a batch either way, strided and Fortran-ordered
     # inputs, and a two-axis batch, also against a one-axis one
     for h, y in ((hb, yb), (hb[1], yb[1]), (hb[2], yb), (hb, yb[1]),
                  (hb[::2], yb[::2]),
                  (np.asfortranarray(hb), np.asfortranarray(yb)),
                  (hb.reshape(3, 11, -1), yb.reshape(3, 11, -1)),
-                 (hb.reshape(3, 11, -1), yb[:11])):
+                 (hb.reshape(3, 11, -1), yb[:11]),
+                 (hp[:1], yp[:1]), (hp[:7], yp[:7]), (hp, yp),
+                 (hp[:15].reshape(3, 5, -1), yp[:15].reshape(3, 5, -1))):
         with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
             got = execute_schedule(sched, h, y)
             want = reference_execute(sched, h, y)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (0,), (1,), (7,), (4095,), (4096,),
+                                   (3, 5), (0, 3)])
+def test_execute_runs_on_aligned_rows(monkeypatch, batch):
+    # the call's first-term table rows and registers are one block from the
+    # helper, each row a C-contiguous batch starting on a 64-byte boundary,
+    # for at most 7 floats of padding a row and 7 more to align the block
+    made = []
+    helper = schedule._aligned_rows
+    monkeypatch.setattr(schedule, "_aligned_rows",
+                        lambda *args: made.append(helper(*args)) or made[-1])
+    sched = generate_schedule(get_code("g4"), 2, 0)
+    rng = np.random.default_rng(5)
+    z = execute_schedule(sched, rng.standard_normal((*batch, sched.n_h)),
+                         rng.standard_normal(sched.n_y))
+    assert z.shape == (*batch, 8)
+    (work,) = made
+    rows = 32 + sched.registers  # two 16-row first-term tag runs
+    assert work.shape == (rows, *batch) and work.dtype == np.float64
+    for r in range(rows):
+        assert work[r, ...].ctypes.data % 64 == 0
+        assert work[r, ...].flags.c_contiguous
+    n = int(np.prod(batch))
+    assert work.base.size == rows * (n if n % 8 == 0 else n - n % 8 + 8) + 7
 
 
 def test_entries_sharing_a_first_term_keep_its_table_row():
