@@ -65,23 +65,23 @@ copies h and ycheck into C-contiguous (n, *batch) column arrays, allocates
 the C-contiguous (2K, *batch) float64 result block and one float64 block
 for the table's rows and the ``Schedule.registers`` registers, and runs
 every step as one NumPy ufunc writing into its register or output row.
-Every table and register row starts on a 64-byte boundary
-(``_aligned_rows``): NumPy places a large block wherever the heap puts it,
-often 16 bytes past a cache line, and a row that starts off a line splits
-one on every 512-bit load and store, which made the steps about a fifth
-slower.  An output that no op writes into its row (an input, an entry, a
-slot listed twice) is copied there at the end.  It returns the block's
-(*batch, 2K) view: the last axis is the strided one, B x 8 bytes apart for
-a (B,) batch, so ``np.ascontiguousarray`` of the result makes a row-major
-copy.  Peak memory is about (registers + table rows) x (B + 7) x 8 bytes,
-at most 7 floats of alignment padding a row and none when B is a multiple
-of 8, plus 2K x B x 8 bytes of output, the inputs and their column copies.
-The outputs are bit for bit those of evaluating the ops one by one in
-program order.
+The work block starts on a 64-byte boundary (``_aligned_rows``), so when
+B is a multiple of 8 every table and register row does: NumPy places a
+large block wherever the heap puts it, often 16 bytes past a cache line,
+and a row that starts off a line splits one on every 512-bit load and
+store, which made the steps 15-20% slower.  An output that no op
+writes into its row (an input, an entry, a slot listed twice) is copied
+there at the end.  It returns the block's (*batch, 2K) view: the last axis
+is the strided one, B x 8 bytes apart for a (B,) batch, so
+``np.ascontiguousarray`` of the result makes a row-major copy.  Peak memory
+is about (registers + table rows + 2K) x B x 8 bytes, plus 7 floats to
+align the work block, the inputs and their column copies.  The outputs are
+bit for bit those of evaluating the ops one by one in program order.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 import threading
@@ -567,16 +567,15 @@ _ALIGN = 64
 
 
 def _aligned_rows(rows: int, batch: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float64 (rows, *batch) array, each row C-contiguous
-    and starting on an _ALIGN-byte boundary: the rows' stride is the batch
-    size rounded up to a multiple of 8 floats, and the block over-allocates
-    by at most 7 floats to find its first aligned address."""
-    per = _ALIGN // 8
-    stride = -(-math.prod(batch) // per) * per
-    flat = np.empty(rows * stride + per - 1)
-    inner = [8 * math.prod(batch[i + 1:]) for i in range(len(batch))]
-    return np.ndarray((rows, *batch), float, flat,
-                      -flat.ctypes.data % _ALIGN, (8 * stride, *inner))
+    """An uninitialized C-contiguous float64 (rows, *batch) array whose
+    first row starts on an _ALIGN-byte boundary, over-allocating by 7
+    floats to find one; every row does when the batch size is a multiple
+    of 8."""
+    size = rows * math.prod(batch)
+    flat = np.empty(size + _ALIGN // 8 - 1)
+    # the address, in a third of the time flat.ctypes.data takes
+    off = -ctypes.addressof(ctypes.c_char.from_buffer(flat)) % _ALIGN // 8
+    return flat[off:off + size].reshape(rows, *batch)
 
 
 def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
@@ -587,9 +586,9 @@ def execute_schedule(sched: Schedule, h, ycheck) -> np.ndarray:
     must be real; ``lattice.vectorize_received`` interleaves complex values.
     The result is the (*batch, 2K) view of a C-contiguous (2K, *batch)
     block.  The first-term table and the registers are the rows of one
-    work block, each starting on a 64-byte boundary, so that no 512-bit
-    load or store of a step splits a cache line; when the batch size is not
-    a multiple of 8, each row carries up to 7 floats of padding.
+    work block that starts on a 64-byte boundary, so that when the batch
+    size is a multiple of 8 no 512-bit load or store of a step splits a
+    cache line.
     """
     _require_real("h", h)
     _require_real("ycheck", ycheck)
